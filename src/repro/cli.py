@@ -293,9 +293,9 @@ def build_parser() -> argparse.ArgumentParser:
     search.add_argument(
         "--backend",
         default=None,
-        help="screening backend: auto (default — the planner picks the vector "
-        "column lane when every automaton lowers, loud reference fallback "
-        "otherwise), vector (strict), or python",
+        help="screening backend: auto (default — the property's vector column "
+        "screen when it has one, loud reference fallback otherwise), vector "
+        "(strict), or python",
     )
     search.add_argument(
         "--smoke",

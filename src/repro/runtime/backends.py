@@ -73,15 +73,15 @@ Snapshot = Dict[ProcessId, Dict[str, Any]]
 
 @dataclass(frozen=True)
 class MultiBatchResult:
-    """What a multi-schedule batch run returns.
+    """What :func:`~repro.runtime.kernel.execute_multi_batch` returns.
 
     ``results`` carries one :class:`~repro.runtime.simulator.RunResult` per
     replica, in replica order.  ``snapshots`` is ``None`` unless checkpointed
     extraction was requested, in which case it holds one list of
     ``checkpoints`` output snapshots per replica — snapshot ``i`` samples the
     requested published keys after the replica has executed
-    ``(L * (i + 1)) // checkpoints`` of its ``L`` effective steps, exactly the
-    segment bounds :func:`repro.search.properties.checkpoint_snapshots` uses.
+    ``(L * (i + 1)) // checkpoints`` of its ``L`` effective steps, the
+    segment bounds every search screen judges from.
     """
 
     results: List["RunResult"]
@@ -134,93 +134,6 @@ class Backend:
         step indices renumber densely).
         """
         raise NotImplementedError
-
-    def run_multi_batch(
-        self,
-        simulators: Sequence["Simulator"],
-        compileds: Sequence["CompiledSchedule"],
-        policy: "ExecutionPolicy",
-        crash_masks: Optional[Sequence[CrashMask]] = None,
-        checkpoints: Optional[int] = None,
-        snapshot_keys: Sequence[str] = (),
-    ) -> MultiBatchResult:
-        """Execute one *per-replica* compiled schedule on each replica.
-
-        This is the multi-schedule generalization of :meth:`run_batch`:
-        replica ``i`` runs ``compileds[i]`` (whole buffer, already budgeted by
-        the caller) under ``policy``, with ``crash_masks`` applied per replica
-        exactly as in :meth:`run_batch`.  When ``checkpoints`` is given, each
-        replica's *effective* (post-mask) buffer is split into ``checkpoints``
-        contiguous segments and the published outputs under ``snapshot_keys``
-        are sampled after each segment — the checkpointed-extraction contract
-        the search screens consume.  Trace-collecting policies are rejected
-        upstream by :func:`~repro.runtime.kernel.execute_multi_batch`.
-
-        The base implementation is the semantic reference: replicas run
-        sequentially through the per-replica kernel loops, segment by
-        segment.  Backends that can do better (the vector column lane)
-        override it; the conformance contract is the same as for
-        :meth:`run_batch`, extended with snapshot equality.
-        """
-        from .kernel import (
-            _execute_bare,
-            _execute_general,
-            check_observer_capabilities,
-        )
-        from .simulator import RunResult
-        from ..core.schedule import Schedule
-
-        results: List["RunResult"] = []
-        all_snapshots: Optional[List[List[Snapshot]]] = (
-            [] if checkpoints is not None else None
-        )
-        for index, sim in enumerate(simulators):
-            compiled = compileds[index]
-            mask = crash_masks[index] if crash_masks is not None else None
-            entries = sim.observer_entries()
-            check_observer_capabilities(policy, entries)
-            bare = not entries
-            steps = compiled.steps
-            buffer = _filtered_buffer(steps, len(steps), mask) if mask else steps
-            total = len(buffer)
-            segments = checkpoints if checkpoints is not None else 1
-            bounds = [(total * i) // segments for i in range(segments + 1)]
-            executed = 0
-            snapshots: List[Snapshot] = []
-            for start, end in zip(bounds, bounds[1:]):
-                if end > start:
-                    segment = buffer[start:end]
-                    if bare:
-                        part = _execute_bare(sim, segment)
-                    else:
-                        part = _execute_general(
-                            sim, iter(segment), end - start, None, policy, entries
-                        )
-                    executed += part.steps_executed
-                if checkpoints is not None:
-                    snapshots.append(
-                        {
-                            pid: {
-                                key: sim.output_of(pid, key) for key in snapshot_keys
-                            }
-                            for pid in range(1, sim.n + 1)
-                        }
-                    )
-            results.append(
-                RunResult(
-                    executed_schedule=Schedule(steps=(), n=sim.n),
-                    steps_executed=executed,
-                    stopped_early=False,
-                    halted_processes=sim.halted_processes(),
-                    outputs={
-                        pid: dict(state.automaton.outputs)
-                        for pid, state in sim._states.items()
-                    },
-                )
-            )
-            if all_snapshots is not None:
-                all_snapshots.append(snapshots)
-        return MultiBatchResult(results=results, snapshots=all_snapshots)
 
 
 def _filtered_buffer(
@@ -374,30 +287,6 @@ class AutoBackend(Backend):
         """Always available — planning to the reference kernel needs nothing."""
         return True
 
-    # ------------------------------------------------------------------
-    def _batch_classes(self, simulators: Sequence["Simulator"]) -> Set[Type]:
-        return {
-            type(state.automaton)
-            for sim in simulators
-            for state in sim._states.values()
-        }
-
-    def _plan(
-        self, simulators: Sequence["Simulator"], policy: "ExecutionPolicy"
-    ) -> Backend:
-        chosen, reason = plan_backend_for_classes(
-            self._batch_classes(simulators), policy
-        )
-        self.last_plan = {
-            "backend": chosen,
-            "reason": reason,
-            "batch": len(simulators),
-        }
-        if reason is not None:
-            _warn_fallback(reason)
-        return get_backend(chosen)
-
-    # ------------------------------------------------------------------
     def run_batch(
         self,
         simulators: Sequence["Simulator"],
@@ -406,25 +295,17 @@ class AutoBackend(Backend):
         policy: "ExecutionPolicy",
         crash_masks: Optional[Sequence[CrashMask]] = None,
     ) -> List["RunResult"]:
-        """Plan, then delegate the shared-schedule batch to the chosen backend."""
+        """Plan, then delegate the batch to the chosen backend."""
         sims = list(simulators)
-        return self._plan(sims, policy).run_batch(
+        classes = {
+            type(state.automaton) for sim in sims for state in sim._states.values()
+        }
+        chosen, reason = plan_backend_for_classes(classes, policy)
+        self.last_plan = {"backend": chosen, "reason": reason, "batch": len(sims)}
+        if reason is not None:
+            _warn_fallback(reason)
+        return get_backend(chosen).run_batch(
             sims, compiled, budget, policy, crash_masks
-        )
-
-    def run_multi_batch(
-        self,
-        simulators: Sequence["Simulator"],
-        compileds: Sequence["CompiledSchedule"],
-        policy: "ExecutionPolicy",
-        crash_masks: Optional[Sequence[CrashMask]] = None,
-        checkpoints: Optional[int] = None,
-        snapshot_keys: Sequence[str] = (),
-    ) -> MultiBatchResult:
-        """Plan, then delegate the multi-schedule batch to the chosen backend."""
-        sims = list(simulators)
-        return self._plan(sims, policy).run_multi_batch(
-            sims, compileds, policy, crash_masks, checkpoints, snapshot_keys
         )
 
 

@@ -74,7 +74,7 @@ from typing import (
 )
 
 from ..core.schedule import CompiledSchedule, InfiniteSchedule, Schedule
-from ..errors import SimulationError
+from ..errors import ConfigurationError, SimulationError
 from ..types import ProcessId
 from .automaton import (
     BoundReadOp,
@@ -729,35 +729,35 @@ def execute_multi_batch(
     schedules: Sequence["ScheduleSource"],
     max_steps: Optional[int] = None,
     policy: ExecutionPolicy = FAST,
-    backend: Any = None,
     crash_steps: Optional[Sequence[Optional[Dict[ProcessId, int]]]] = None,
     checkpoints: Optional[int] = None,
     snapshot_keys: Sequence[str] = (),
 ) -> "MultiBatchResult":
     """Drive a batch of replicas, each over its **own** schedule source.
 
-    The multi-schedule sibling of :func:`execute_batch`: replica ``i``
-    executes ``schedules[i]`` (budgeted to ``max_steps`` when given) under
-    ``policy``, so one call screens a whole heterogeneous generation —
-    elites, mutants and fresh candidates with different lengths — instead of
-    one call per candidate.  All replicas must live over the same ``Πn``;
-    schedules may differ arbitrarily in steps, length and crash metadata.
+    The multi-schedule sibling of :func:`execute_batch` and the reference
+    routine for checkpointed per-replica execution: replica ``i`` executes
+    ``schedules[i]`` (budgeted to ``max_steps`` when given) under ``policy``
+    through the per-replica kernel loops — the bare loop when it carries no
+    observers, the general loop otherwise — so the results are identical to
+    running each replica alone over its own schedule.  All replicas must live
+    over the same ``Πn``; schedules may differ arbitrarily in steps, length
+    and crash metadata.  ``crash_steps`` carries one per-replica mask with
+    :func:`execute_batch` semantics, applied to that replica's own buffer.
 
-    ``backend`` resolves exactly as in :func:`execute_batch` (``"auto"``
-    plans vector-vs-reference per batch); every backend returns results
-    identical to running each replica alone over its own schedule.
-    ``crash_steps`` carries one per-replica mask with :func:`execute_batch`
-    semantics, applied to that replica's own buffer.
-
-    When ``checkpoints`` is given, each replica's effective buffer is split
-    into ``checkpoints`` contiguous segments and the published outputs under
-    ``snapshot_keys`` are snapshotted after each segment (column-side on the
-    vector lane — no per-segment re-entry); the snapshots come back on
-    :attr:`~repro.runtime.backends.MultiBatchResult.snapshots`.  Policies
-    that collect traces are not supported — multi-schedule runs have no
-    single shared executed schedule to record.
+    When ``checkpoints`` is given, each replica's effective (post-mask)
+    buffer of ``L`` steps is split into ``checkpoints`` contiguous segments
+    with bounds ``(L * i) // checkpoints``, and the published outputs under
+    ``snapshot_keys`` are snapshotted for every process after each segment;
+    zero-length segments execute nothing and repeat the previous snapshot.
+    The snapshots come back on
+    :attr:`~repro.runtime.backends.MultiBatchResult.snapshots` — the
+    checkpointed-extraction contract every search screen judges from.
+    Policies that collect traces are not supported — multi-schedule runs
+    have no single shared executed schedule to record.
     """
-    from .backends import MultiBatchResult, get_backend  # local import, see above
+    from .backends import MultiBatchResult, _filtered_buffer  # local import, see above
+    from .simulator import RunResult  # local import: simulator imports this module
 
     sims = list(simulators)
     sources = list(schedules)
@@ -772,7 +772,7 @@ def execute_multi_batch(
             "replicas run heterogeneous buffers with no shared schedule to record"
         )
     if checkpoints is not None and checkpoints < 1:
-        raise SimulationError(f"checkpoints must be >= 1, got {checkpoints}")
+        raise ConfigurationError(f"checkpoints must be >= 1, got {checkpoints}")
     if not sims:
         return MultiBatchResult(
             results=[], snapshots=[] if checkpoints is not None else None
@@ -783,19 +783,55 @@ def execute_multi_batch(
             raise SimulationError(
                 f"execute_multi_batch needs replicas over one Πn, got n={n} and n={sim.n}"
             )
-    masks = _normalize_crash_masks(crash_steps, len(sims), n)
+    masks = _normalize_crash_masks(crash_steps, len(sims), n) or [None] * len(sims)
+    buffers = []
+    for source, mask in zip(sources, masks):
+        steps = _materialize_for_batch(n, source, max_steps).steps
+        if max_steps is not None:
+            steps = steps[:max_steps]
+        buffers.append(_filtered_buffer(steps, len(steps), mask) if mask else steps)
     align_replica_arenas(sims)
-    compileds: List[CompiledSchedule] = []
-    for source in sources:
-        compiled = _materialize_for_batch(n, source, max_steps)
-        if max_steps is not None and len(compiled) > max_steps:
-            compiled = CompiledSchedule(
-                n=n,
-                steps=compiled.steps[:max_steps],
-                crash_steps=compiled.crash_steps,
-                description=compiled.description,
-            )
-        compileds.append(compiled)
-    return get_backend(backend).run_multi_batch(
-        sims, compileds, policy, masks, checkpoints, snapshot_keys
+    segments = checkpoints or 1
+    results: List["RunResult"] = []
+    all_snapshots: Optional[List[List[Dict[ProcessId, Dict[str, Any]]]]] = (
+        [] if checkpoints is not None else None
     )
+    for sim, buffer in zip(sims, buffers):
+        entries = sim.observer_entries()
+        check_observer_capabilities(policy, entries)
+        total = len(buffer)
+        bounds = [(total * index) // segments for index in range(segments + 1)]
+        executed = 0
+        snapshots = []
+        for start, end in zip(bounds, bounds[1:]):
+            if end > start:
+                segment = buffer[start:end]
+                if entries:
+                    part = _execute_general(
+                        sim, iter(segment), end - start, None, policy, entries
+                    )
+                else:
+                    part = _execute_bare(sim, segment)
+                executed += part.steps_executed
+            if all_snapshots is not None:
+                snapshots.append(
+                    {
+                        pid: {key: sim.output_of(pid, key) for key in snapshot_keys}
+                        for pid in range(1, n + 1)
+                    }
+                )
+        results.append(
+            RunResult(
+                executed_schedule=Schedule(steps=(), n=n),
+                steps_executed=executed,
+                stopped_early=False,
+                halted_processes=sim.halted_processes(),
+                outputs={
+                    pid: dict(state.automaton.outputs)
+                    for pid, state in sim._states.items()
+                },
+            )
+        )
+        if all_snapshots is not None:
+            all_snapshots.append(snapshots)
+    return MultiBatchResult(results=results, snapshots=all_snapshots)

@@ -52,7 +52,6 @@ from .properties import (
     PropertyVerdict,
     ScheduleProperty,
     available_properties,
-    checkpoint_snapshots,
     make_property,
     property_descriptions,
 )
@@ -80,7 +79,6 @@ __all__ = [
     "available_properties",
     "best_witness",
     "certify_schedule",
-    "checkpoint_snapshots",
     "describe_recipe",
     "generation_recipes",
     "generation_spec",

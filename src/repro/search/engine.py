@@ -12,11 +12,11 @@ property (:mod:`repro.search.properties`):
    worker processes, identical candidates deduplicate by content address, and
    a :class:`~repro.campaign.cache.ResultCache` makes re-running a search
    resume from cached generations.  Inside a run the whole chunk screens in
-   one call (:func:`~repro.search.properties.screen_generation` — column
-   lanes under the ``"auto"`` backend planner, per-candidate bare-kernel
-   checkpointing otherwise), with elite re-screens served from a
-   screen-verdict cache; only flagged candidates pay for the exact
-   tracker-based ``confirm`` pass and certification.
+   one call (:func:`~repro.search.properties.screen_generation` — the
+   property's column screen under the ``"auto"`` backend planner,
+   per-candidate bare-kernel checkpointing otherwise), with elite re-screens
+   served from a screen-verdict cache; only flagged candidates pay for the
+   exact tracker-based ``confirm`` pass and certification.
 2. **Shrink.**  Surviving findings (confirmed violations, else the best
    near-misses) are minimized by the deterministic delta-debugging loop in
    :mod:`repro.search.shrink`, with the property's exact verdict as the
@@ -110,8 +110,8 @@ class SearchConfig:
     top: int = 3
     shrink_max_evaluations: int = 120
     eval_chunk: int = 4
-    #: Screening backend: ``"auto"`` (plan per batch: column lanes when the
-    #: whole generation lowers, loud reference fallback otherwise),
+    #: Screening backend: ``"auto"`` (the property's column screen when it
+    #: has one and can take the batch, loud reference fallback otherwise),
     #: ``"vector"`` (forced, errors when unlowerable) or ``"python"``.
     backend: str = "auto"
     smoke: bool = False

@@ -9,10 +9,12 @@ modes with very different costs:
 ``screen(compiled, checkpoints)``
     The cheap falsification probe the engine runs on *every* candidate.  It
     builds one instrumentation-free replica, drives it over the candidate's
-    buffer in checkpoint segments on the bare kernel loop (no observers, no
-    trace), and judges the property from the published-output snapshots taken
-    between segments.  The verdict is exact at checkpoint resolution: good
-    enough to rank candidates and to flag potential violations.
+    buffer in checkpoint segments through
+    :func:`repro.runtime.kernel.execute_multi_batch` (the bare kernel loop:
+    no observers, no trace), and judges the property from the
+    published-output snapshots taken between segments.  The verdict is exact
+    at checkpoint resolution: good enough to rank candidates and to flag
+    potential violations.
 
 ``confirm(compiled)``
     The exact verdict, run only on flagged candidates and inside the
@@ -24,12 +26,10 @@ Screen judging is split from screen execution: every property judges from
 checkpoint snapshots via ``judge_screen``, so a *whole generation* of
 candidates — each with its own schedule — can gather its snapshots in one
 vector call (:func:`screen_generation`, via ``batch_screen_snapshots``) and
-still produce verdicts identical to the one-at-a-time ``screen`` path.  The
-anti-Ω properties route the batch through a sim-free column kernel
-(:func:`repro.runtime.vector_backend.anti_omega_screen_snapshots`); everything
-else goes through :func:`repro.runtime.kernel.execute_multi_batch`'s
-column-side snapshot extraction when its automata lower, with a loud
-reference fallback otherwise.
+still produce verdicts identical to the one-at-a-time ``screen`` path.  Only
+the anti-Ω properties have such a column screen — the sim-free kernel
+:func:`repro.runtime.vector_backend.anti_omega_screen_snapshots`; every other
+property screens per candidate, with a loud fallback under ``auto``.
 
 Both modes read the ground-truth correct set from the candidate's compiled
 crash metadata, exactly like every other harness in the library.  Fitness is
@@ -56,7 +56,7 @@ from ..failure_detectors.anti_omega import (
 from ..failure_detectors.base import FD_OUTPUT, WINNER_SET, make_detector_trackers
 from ..failure_detectors.properties import check_k_anti_omega, check_leader_set_convergence
 from ..memory.registers import RegisterFile
-from ..runtime.kernel import execute_batch, execute_multi_batch
+from ..runtime.kernel import execute_multi_batch
 from ..runtime.simulator import Simulator
 from ..types import AgreementInstance, ProcessId, ProcessSet, universe
 
@@ -121,11 +121,13 @@ class ScheduleProperty(ABC):
 
     def screen(self, compiled: CompiledSchedule, checkpoints: int) -> PropertyVerdict:
         """Cheap bare-kernel verdict at checkpoint resolution."""
-        simulator = self._build_simulator()
-        snapshots = checkpoint_snapshots(
-            simulator, compiled, checkpoints, self.screen_keys
+        result = execute_multi_batch(
+            [self._build_simulator()],
+            [compiled],
+            checkpoints=checkpoints,
+            snapshot_keys=self.screen_keys,
         )
-        return self.judge_screen(snapshots, compiled)
+        return self.judge_screen(result.snapshots[0], compiled)
 
     @abstractmethod
     def judge_screen(
@@ -142,89 +144,25 @@ class ScheduleProperty(ABC):
     def batch_screen_snapshots(
         self, compileds: Sequence[CompiledSchedule], checkpoints: int
     ) -> List[List[Snapshot]]:
-        """Checkpoint snapshots for a whole generation, via the column lanes.
+        """Checkpoint snapshots for a whole generation, via a column screen.
 
-        The default builds one replica per candidate and runs the batch
-        through :func:`~repro.runtime.kernel.execute_multi_batch` on the
-        vector backend, which extracts the snapshots column-side.  Raises
-        :class:`~repro.runtime.vector_backend.UnsupportedLowering` when the
-        batch cannot take a column lane (numpy missing, or an automaton in
-        the replica stack has no registered lowering) so callers fall back to
-        the per-candidate reference screen.  Subclasses may override with a
-        cheaper lane (the anti-Ω properties screen sim-free).
+        The base class has no column screen: it raises
+        :class:`~repro.runtime.vector_backend.UnsupportedLowering` without
+        building anything, so :func:`screen_generation` falls back to the
+        per-candidate :meth:`screen`.  The anti-Ω properties override it with
+        the sim-free kernel; an override must return exactly the snapshots
+        :meth:`screen` would judge.
         """
-        from ..runtime.backends import plan_backend_for_classes
         from ..runtime.vector_backend import UnsupportedLowering
 
-        simulators = [self._build_simulator() for _ in compileds]
-        classes = {
-            type(state.automaton)
-            for simulator in simulators
-            for state in simulator._states.values()
-        }
-        chosen, reason = plan_backend_for_classes(classes)
-        if chosen != "vector":
-            raise UnsupportedLowering(reason)
-        result = execute_multi_batch(
-            simulators,
-            compileds,
-            backend="vector",
-            checkpoints=checkpoints,
-            snapshot_keys=self.screen_keys,
+        raise UnsupportedLowering(
+            f"{type(self).__name__} has no column screen; it screens each "
+            "candidate on the reference kernel"
         )
-        return result.snapshots
 
     @abstractmethod
     def confirm(self, compiled: CompiledSchedule) -> PropertyVerdict:
         """Exact tracker-based verdict (the word that counts)."""
-
-
-# ----------------------------------------------------------------------
-# Checkpointed bare execution (shared by the screen paths)
-# ----------------------------------------------------------------------
-
-def checkpoint_snapshots(
-    simulator: Simulator,
-    compiled: CompiledSchedule,
-    checkpoints: int,
-    keys: Sequence[str],
-) -> List[Snapshot]:
-    """Drive one replica over the buffer in segments, sampling outputs between.
-
-    The buffer is split into ``checkpoints`` contiguous segments; each
-    non-empty segment runs directly on the bare kernel loop (the replica
-    carries no observers) without re-entering the batch machinery per
-    segment, and after each segment the published outputs under ``keys`` are
-    snapshotted for every process.  Zero-length segments — ``checkpoints``
-    exceeding the schedule length — execute nothing and simply repeat the
-    previous snapshot.  Returns one ``pid -> {key: value}`` snapshot per
-    checkpoint; the final snapshot reflects the full buffer.
-    """
-    from ..runtime.kernel import _execute_bare
-
-    if checkpoints < 1:
-        raise ConfigurationError(f"checkpoints must be >= 1, got {checkpoints}")
-    bare = not simulator.observer_entries()
-    total = len(compiled)
-    steps = compiled.steps
-    bounds = [(total * index) // checkpoints for index in range(checkpoints + 1)]
-    snapshots: List[Snapshot] = []
-    for start, end in zip(bounds, bounds[1:]):
-        if end > start:
-            if bare:
-                _execute_bare(simulator, steps[start:end])
-            else:
-                segment = CompiledSchedule(
-                    n=compiled.n, steps=steps[start:end], description="segment"
-                )
-                execute_batch([simulator], segment)
-        snapshots.append(
-            {
-                pid: {key: simulator.output_of(pid, key) for key in keys}
-                for pid in range(1, compiled.n + 1)
-            }
-        )
-    return snapshots
 
 
 def _stable_from(
@@ -630,9 +568,10 @@ def screen_generation(
     (:meth:`ScheduleProperty.batch_screen_snapshots`) and judges each
     candidate with the same :meth:`ScheduleProperty.judge_screen` the
     one-at-a-time path uses — so the verdicts are identical, only cheaper.
-    Batches the column lane cannot take fall back *loudly* (one log warning
-    per distinct reason; :func:`last_screen_plan` records the decision) to
-    per-candidate :meth:`ScheduleProperty.screen` calls.
+    Properties without a column screen, and batches it cannot take, fall
+    back *loudly* (one log warning per distinct reason;
+    :func:`last_screen_plan` records the decision) to per-candidate
+    :meth:`ScheduleProperty.screen` calls.
 
     ``backend="vector"`` forces the column lane and raises
     :class:`~repro.errors.SimulationError` when it cannot take the batch;
@@ -656,38 +595,21 @@ def screen_generation(
         )
 
     if backend in ("auto", "vector"):
-        # A property that overrides screen() wholesale (instead of judging
-        # through judge_screen) cannot be replaced by the snapshot lanes —
-        # its per-candidate screen is the only spelling of its verdict.
-        if type(prop).screen is not ScheduleProperty.screen:
-            reason = (
-                f"{type(prop).__name__} overrides screen(); the column lanes "
-                "only replace the base checkpoint screen"
-            )
+        try:
+            snapshot_lists = prop.batch_screen_snapshots(compiled_list, checkpoints)
+        except UnsupportedLowering as unsupported:
             if backend == "vector":
                 raise SimulationError(
-                    f"vector screening could not take the batch: {reason}"
-                )
-            note("reference", reason)
-            _warn_fallback(reason)
+                    f"vector screening could not take the batch: {unsupported}"
+                ) from unsupported
+            note("reference", str(unsupported))
+            _warn_fallback(str(unsupported))
         else:
-            try:
-                snapshot_lists = prop.batch_screen_snapshots(
-                    compiled_list, checkpoints
-                )
-            except UnsupportedLowering as unsupported:
-                if backend == "vector":
-                    raise SimulationError(
-                        f"vector screening could not take the batch: {unsupported}"
-                    ) from unsupported
-                note("reference", str(unsupported))
-                _warn_fallback(str(unsupported))
-            else:
-                note("column", None)
-                return [
-                    prop.judge_screen(snapshots, compiled)
-                    for snapshots, compiled in zip(snapshot_lists, compiled_list)
-                ]
+            note("column", None)
+            return [
+                prop.judge_screen(snapshots, compiled)
+                for snapshots, compiled in zip(snapshot_lists, compiled_list)
+            ]
     else:
         note("reference", f"backend {backend!r} requested")
     return [prop.screen(compiled, checkpoints) for compiled in compiled_list]

@@ -43,12 +43,14 @@ def test_search_subsystem_docstring_coverage():
 
 
 def test_execution_backend_docstring_coverage():
-    # Same gate CI runs: the backend registry and the vector column backend
+    # Same gate CI runs: the backend registry, the vector column backend and
+    # the kernel (home of the reference screen routine, execute_multi_batch)
     # are public API surface and must stay fully documented.
     _assert_fully_documented(
         [
             REPO_ROOT / "src" / "repro" / "runtime" / "backends.py",
             REPO_ROOT / "src" / "repro" / "runtime" / "vector_backend.py",
+            REPO_ROOT / "src" / "repro" / "runtime" / "kernel.py",
         ]
     )
 

@@ -17,7 +17,7 @@ Two sweeps pin the contract:
   byte-identity — including the vector backend's transparent fallback lane
   for workloads it cannot lower;
 * the vector-native sweep drives the lowered automata (anti-Ω, trivial
-  k-set agreement, decision polls, idle churn) with ``require_lowering=True``
+  k-set agreement, idle churn) with ``require_lowering=True``
   so a silent fallback cannot mask a lowering bug.
 
 Edge cases (batch of 1, empty schedule, crash at step 0, chunk-straddling
@@ -30,7 +30,6 @@ import random
 import pytest
 
 import test_batch
-from repro.agreement.consensus import DecisionPollAutomaton
 from repro.agreement.kset import DECISION
 from repro.agreement.trivial import TrivialKSetAgreementAutomaton
 from repro.core.schedule import CompiledSchedule
@@ -138,18 +137,9 @@ def _trivial_replica(n, t, k, base, tracked, strict=False):
     return sim, tracker
 
 
-def _poll_idle_replica(n, tracked):
-    registers = RegisterFile()
-    registers.declare(("consensus", "decision"), initial=None, writer=None)
-    automata = {
-        pid: (
-            DecisionPollAutomaton(pid, n)
-            if pid <= (n + 1) // 2
-            else IdleAutomaton(pid, n)
-        )
-        for pid in range(1, n + 1)
-    }
-    sim = Simulator(n=n, automata=automata, registers=registers)
+def _idle_replica(n, tracked):
+    automata = {pid: IdleAutomaton(pid, n) for pid in range(1, n + 1)}
+    sim = Simulator(n=n, automata=automata)
     tracker = None
     if tracked:
         tracker = OutputTracker(key=DECISION)
@@ -187,15 +177,15 @@ def _make_replicas(kind, rng, n, combo_seed, tracked):
         t = 1 + combo_seed % (n - 1)
         k = t + 1 + (combo_seed // 5) % (n - t)
         return _trivial_replica(n, t, k, base=100 * combo_seed, tracked=tracked)
-    if kind == "poll-idle":
-        return _poll_idle_replica(n, tracked)
+    if kind == "idle":
+        return _idle_replica(n, tracked)
     return _fallback_replica(test_batch.ALGORITHMS[kind], n, tracked)
 
 
 SWEEP_KINDS = [
     "anti-omega",
     "trivial",
-    "poll-idle",
+    "idle",
     "token",
     "halting",
     "owned-counter",
@@ -263,7 +253,7 @@ class TestBackendConformanceSweep:
             n = build_generator(params).n
             if n < 3:
                 continue
-            kind = ("anti-omega", "trivial", "poll-idle")[combo % 3]
+            kind = ("anti-omega", "trivial", "idle")[combo % 3]
             compiled = build_generator(params).compile(horizon)
             masks = _random_masks(rng, 4, n, horizon)
             ref = [_make_replicas(kind, rng, n, combo, True) for _ in range(4)]
@@ -416,7 +406,7 @@ class TestBackendRegistry:
             compiled = CompiledSchedule(n=3, steps=[1, 2, 3] * 10)
             ref, new = [], []
             for bucket in (ref, new):
-                bucket.append(_poll_idle_replica(3, tracked=False))
+                bucket.append(_idle_replica(3, tracked=False))
             [r] = execute_batch([ref[0][0]], compiled)
             [n_] = execute_batch([new[0][0]], compiled, backend="echo-test")
             assert result_view(r) == result_view(n_)
@@ -461,7 +451,7 @@ class TestVectorDiagnostics:
 
     def test_vectorized_run_reports_batch_and_chunks(self):
         backend = VectorBackend(chunk=2)
-        sims = [_poll_idle_replica(3, tracked=False)[0] for _ in range(5)]
+        sims = [_idle_replica(3, tracked=False)[0] for _ in range(5)]
         execute_batch(sims, CompiledSchedule(n=3, steps=[1, 2, 3] * 5), backend=backend)
         assert backend.last_run == {
             "vectorized": True,
@@ -486,7 +476,7 @@ class TestWithoutNumpy:
         assert "vector" in backend_names()  # still listed, just not runnable
 
     def test_requesting_the_vector_backend_is_a_clear_configuration_error(self):
-        sim, _ = _poll_idle_replica(3, tracked=False)
+        sim, _ = _idle_replica(3, tracked=False)
         with pytest.raises(ConfigurationError, match="numpy"):
             execute_batch(
                 [sim], CompiledSchedule(n=3, steps=[1, 2, 3]), backend="vector"

@@ -1,13 +1,14 @@
-"""``execute_multi_batch``: per-replica schedules, masks, snapshots, backends.
+"""``execute_multi_batch``: per-replica schedules, masks and snapshots.
 
-The multi-schedule sibling of the batch conformance suite.  Every registered
-backend (including the ``auto`` planner) must produce results identical to
-running each replica alone over its own schedule — same outputs, step counts,
-halted sets and register arenas — with per-replica crash masks applied to the
-replica's own buffer and checkpointed snapshots taken column-side on the
-vector lane.  The edge cases ISSUE 8 pins are here too: a generation of one,
-mixed lengths, crash at step 0, and the loud reference fallback for batches
-the planner cannot lower.
+The multi-schedule sibling of the batch conformance suite.  The reference
+routine must produce results identical to running each replica alone over its
+own schedule — same outputs, step counts, halted sets and register arenas —
+with per-replica crash masks applied to the replica's own buffer and
+checkpointed snapshots equal to prefix runs.  The edge cases are here too: an
+empty batch, a generation of one, mixed lengths, crash at step 0 and
+per-replica budgets.  The auto planner's pure decision rule
+(:func:`plan_backend_for_classes`) and its loud fallback are pinned at the
+end.
 """
 
 import logging
@@ -17,31 +18,19 @@ import pytest
 import test_backends
 import test_batch
 from repro.core.schedule import CompiledSchedule
-from repro.errors import SimulationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.failure_detectors.base import FD_OUTPUT
 from repro.runtime import backends as backends_module
 from repro.runtime.backends import (
     MultiBatchResult,
-    backend_names,
+    _filtered_buffer,
     get_backend,
     plan_backend_for_classes,
 )
-from repro.runtime.kernel import FAST, FAST_TRACED, execute_batch, execute_multi_batch
-from repro.runtime.simulator import Simulator
-from repro.runtime.vector_backend import VectorBackend
+from repro.runtime.kernel import FAST_TRACED, execute_batch, execute_multi_batch
 from repro.scenarios.spec import build_generator
 
 observable = test_backends.observable
-result_view = test_backends.result_view
-
-
-@pytest.fixture(params=sorted(backend_names()))
-def backend_name(request):
-    """Every registered backend; unavailable ones skip (e.g. vector sans numpy)."""
-    name = request.param
-    if not get_backend(name).available():
-        pytest.skip(f"backend {name!r} unavailable in this environment")
-    return name
 
 
 def _own_schedules(rng, params, n, replicas, horizon):
@@ -57,10 +46,32 @@ def _own_schedules(rng, params, n, replicas, horizon):
     return compileds
 
 
+def _paper_anti_omega(n=4, t=2, k=2, tracked=False):
+    return test_backends._anti_omega_replica(
+        n,
+        t,
+        k,
+        test_backends.paper_accusation_statistic,
+        test_backends.paper_timeout_policy,
+        tracked=tracked,
+    )[0]
+
+
+def _prefix_outputs(n, steps, key=FD_OUTPUT):
+    """Published ``key`` outputs of a fresh solo replica after ``steps``."""
+    solo = _paper_anti_omega(n)
+    execute_batch([solo], CompiledSchedule(n=n, steps=list(steps)))
+    return {pid: {key: solo.output_of(pid, key)} for pid in range(1, n + 1)}
+
+
 class TestMultiBatchConformance:
-    def test_seeded_sweep_matches_solo_runs(self, backend_name):
-        """Per-replica schedules + masks: identical to one solo run per replica."""
-        backend = get_backend(backend_name)
+    @pytest.mark.parametrize("checkpoints", [None, 1, 7])
+    def test_seeded_sweep_matches_solo_runs(self, checkpoints):
+        """Per-replica schedules + masks: identical to one solo run per replica.
+
+        Checkpointing splits each buffer into segments; the split must not
+        change what the replica computes.
+        """
         rng = random.Random(20260807)
         combos = 0
         while combos < 18:
@@ -88,10 +99,13 @@ class TestMultiBatchConformance:
                 [sim for sim, _ in new],
                 compileds,
                 crash_steps=masks,
-                backend=backend,
+                checkpoints=checkpoints,
             )
             assert isinstance(multi, MultiBatchResult)
-            assert multi.snapshots is None
+            if checkpoints is None:
+                assert multi.snapshots is None
+            else:
+                assert [len(row) for row in multi.snapshots] == [checkpoints] * replicas
             context = f"combo {combos}: {kind} on {params!r} horizon={horizon}"
             for (rs, rt), (ns, nt), nr in zip(ref, new, multi.results):
                 assert observable(rs) == observable(ns), context
@@ -100,10 +114,15 @@ class TestMultiBatchConformance:
                     assert rt.changes == nt.changes, context
             combos += 1
 
-    def test_snapshots_identical_across_backends(self, backend_name):
-        """Checkpoint snapshots match the reference backend's segment walk."""
+    @pytest.mark.parametrize("checkpoints", [1, 7, 700])
+    def test_snapshots_identical_across_loops(self, checkpoints):
+        """Observer-carrying replicas (general loop) snapshot like bare ones.
+
+        700 checkpoints exceed most lengths, so zero-length segments repeat
+        the previous snapshot on both loops.
+        """
         rng = random.Random(7)
-        n, t, k = 4, 2, 2
+        n = 4
         lengths = [0, 1, 31, 173, 600, 601]
         compileds = [
             CompiledSchedule(
@@ -112,33 +131,23 @@ class TestMultiBatchConformance:
             for length in lengths
         ]
 
-        def run(backend):
-            sims = [
-                test_backends._anti_omega_replica(
-                    n,
-                    t,
-                    k,
-                    test_backends.paper_accusation_statistic,
-                    test_backends.paper_timeout_policy,
-                    tracked=False,
-                )[0]
-                for _ in compileds
-            ]
+        def run(tracked):
+            sims = [_paper_anti_omega(n, tracked=tracked) for _ in compileds]
             return execute_multi_batch(
                 sims,
                 compileds,
-                backend=backend,
-                checkpoints=7,
+                checkpoints=checkpoints,
                 snapshot_keys=(FD_OUTPUT,),
             )
 
-        reference = run("python")
-        other = run(backend_name)
-        assert other.snapshots == reference.snapshots
-        assert [r.outputs for r in other.results] == [
-            r.outputs for r in reference.results
+        bare = run(tracked=False)
+        general = run(tracked=True)
+        assert general.snapshots == bare.snapshots
+        assert [r.outputs for r in general.results] == [
+            r.outputs for r in bare.results
         ]
-        assert all(len(row) == 7 for row in other.snapshots)
+        assert [r.steps_executed for r in general.results] == lengths
+        assert all(len(row) == checkpoints for row in general.snapshots)
 
     def test_snapshot_boundaries_match_prefix_runs(self):
         """Reference-lane snapshot ``i`` equals the outputs after (L*i)//cp steps."""
@@ -162,7 +171,6 @@ class TestMultiBatchConformance:
         multi = execute_multi_batch(
             [fresh()],
             [compiled],
-            backend="python",
             checkpoints=checkpoints,
             snapshot_keys=(FD_OUTPUT,),
         )
@@ -182,37 +190,38 @@ class TestMultiBatchEdgeCases:
     def _replica(self, n=3):
         return test_batch._fresh(n, test_batch.ALGORITHMS["token"], tracked=False)[0]
 
-    def test_empty_batch(self, backend_name):
-        result = execute_multi_batch([], [], backend=backend_name)
+    def test_empty_batch(self):
+        result = execute_multi_batch([], [])
         assert result.results == [] and result.snapshots is None
-        with_snapshots = execute_multi_batch(
-            [], [], backend=backend_name, checkpoints=3
-        )
+        with_snapshots = execute_multi_batch([], [], checkpoints=3)
         assert with_snapshots.snapshots == []
 
-    def test_generation_of_one(self, backend_name):
+    @pytest.mark.parametrize("checkpoints", [None, 4])
+    def test_generation_of_one(self, checkpoints):
         compiled = build_generator({"schedule": "round-robin", "n": 3}).compile(30)
         solo = self._replica()
         execute_batch([solo], compiled)
         fresh = self._replica()
-        multi = execute_multi_batch([fresh], [compiled], backend=backend_name)
+        multi = execute_multi_batch([fresh], [compiled], checkpoints=checkpoints)
         assert len(multi.results) == 1
         assert multi.results[0].steps_executed == 30
         assert observable(solo) == observable(fresh)
 
-    def test_crash_at_step_zero(self, backend_name):
+    @pytest.mark.parametrize("checkpoints", [None, 4])
+    def test_crash_at_step_zero(self, checkpoints):
         compiled = build_generator({"schedule": "round-robin", "n": 3}).compile(30)
         masks = [{1: 0}]
         solo = self._replica()
         execute_batch([solo], compiled, crash_steps=masks)
         fresh = self._replica()
         multi = execute_multi_batch(
-            [fresh], [compiled], crash_steps=masks, backend=backend_name
+            [fresh], [compiled], crash_steps=masks, checkpoints=checkpoints
         )
         assert observable(solo) == observable(fresh)
         assert multi.results[0].steps_executed < 30
 
-    def test_max_steps_budgets_each_replica(self, backend_name):
+    @pytest.mark.parametrize("checkpoints", [None, 4])
+    def test_max_steps_budgets_each_replica(self, checkpoints):
         compileds = [
             build_generator({"schedule": "round-robin", "n": 3}).compile(50),
             build_generator({"schedule": "round-robin", "n": 3}).compile(10),
@@ -221,9 +230,62 @@ class TestMultiBatchEdgeCases:
             [self._replica(), self._replica()],
             compileds,
             max_steps=20,
-            backend=backend_name,
+            checkpoints=checkpoints,
         )
         assert [r.steps_executed for r in multi.results] == [20, 10]
+
+    def test_checkpoints_split_the_budgeted_buffer(self):
+        """With ``max_steps``, segment bounds are over the budgeted length."""
+        rng = random.Random(11)
+        n, budget, checkpoints = 4, 50, 5
+        steps = [rng.randrange(1, n + 1) for _ in range(173)]
+        multi = execute_multi_batch(
+            [_paper_anti_omega(n)],
+            [CompiledSchedule(n=n, steps=steps)],
+            max_steps=budget,
+            checkpoints=checkpoints,
+            snapshot_keys=(FD_OUTPUT,),
+        )
+        assert multi.results[0].steps_executed == budget
+        for index in range(1, checkpoints + 1):
+            bound = (budget * index) // checkpoints
+            assert multi.snapshots[0][index - 1] == _prefix_outputs(n, steps[:bound])
+
+    def test_checkpoints_split_the_post_mask_buffer(self):
+        """With a crash mask, segment bounds are over the surviving steps."""
+        rng = random.Random(13)
+        n, checkpoints = 4, 6
+        steps = [rng.randrange(1, n + 1) for _ in range(240)]
+        mask = {2: 40, 4: 100}
+        effective = list(_filtered_buffer(steps, len(steps), mask))
+        assert len(effective) < len(steps)
+        multi = execute_multi_batch(
+            [_paper_anti_omega(n)],
+            [CompiledSchedule(n=n, steps=steps)],
+            crash_steps=[mask],
+            checkpoints=checkpoints,
+            snapshot_keys=(FD_OUTPUT,),
+        )
+        assert multi.results[0].steps_executed == len(effective)
+        for index in range(1, checkpoints + 1):
+            bound = (len(effective) * index) // checkpoints
+            expected = _prefix_outputs(n, effective[:bound])
+            assert multi.snapshots[0][index - 1] == expected
+
+    def test_snapshot_keys_select_published_outputs(self):
+        """Snapshots sample exactly the requested keys, for every process."""
+        compiled = CompiledSchedule(n=4, steps=[1, 2, 3, 4] * 20)
+        keyed = execute_multi_batch(
+            [_paper_anti_omega()],
+            [compiled],
+            checkpoints=2,
+            snapshot_keys=(FD_OUTPUT,),
+        )
+        bare = execute_multi_batch([_paper_anti_omega()], [compiled], checkpoints=2)
+        for snapshot in keyed.snapshots[0]:
+            assert sorted(snapshot) == [1, 2, 3, 4]
+            assert all(set(row) == {FD_OUTPUT} for row in snapshot.values())
+        assert bare.snapshots == [[{pid: {} for pid in range(1, 5)}] * 2]
 
     def test_mismatched_counts_rejected(self):
         with pytest.raises(SimulationError, match="exactly one schedule per replica"):
@@ -238,7 +300,7 @@ class TestMultiBatchEdgeCases:
             )
 
     def test_bad_checkpoints_rejected(self):
-        with pytest.raises(SimulationError, match="checkpoints"):
+        with pytest.raises(ConfigurationError, match="checkpoints"):
             execute_multi_batch(
                 [self._replica()],
                 [build_generator({"schedule": "round-robin", "n": 3}).compile(10)],
@@ -274,83 +336,16 @@ class TestAutoPlanner:
         assert reason
 
     def test_auto_falls_back_loudly_and_records_plan(self, caplog):
-        """An unlowerable multi-batch runs on the reference kernel, logged once."""
+        """An unlowerable batch runs on the reference kernel, logged once."""
         backends_module._WARNED_FALLBACKS.clear()
         auto = get_backend("auto")
         compiled = build_generator({"schedule": "round-robin", "n": 3}).compile(30)
-        solo = self_replica = test_batch._fresh(
-            3, test_batch.ALGORITHMS["halting"], tracked=False
-        )[0]
+        replica = test_batch._fresh(3, test_batch.ALGORITHMS["halting"], tracked=False)[0]
         with caplog.at_level(logging.WARNING, logger=backends_module._LOGGER.name):
-            execute_multi_batch([self_replica], [compiled], backend="auto")
+            execute_batch([replica], compiled, backend="auto")
         assert auto.last_plan["backend"] == "python"
         assert auto.last_plan["reason"]
         if get_backend("vector").available():
             assert any(
                 "falling back" in record.message for record in caplog.records
             )
-
-    def test_auto_matches_python_on_lowered_generation(self):
-        """Auto's vector plan is conformant on the anti-Ω generation shape."""
-        rng = random.Random(5)
-        n, t, k = 4, 2, 2
-        compileds = [
-            CompiledSchedule(
-                n=n, steps=[rng.randrange(1, n + 1) for _ in range(length)]
-            )
-            for length in (0, 7, 64, 300)
-        ]
-
-        def run(backend):
-            sims = [
-                test_backends._anti_omega_replica(
-                    n,
-                    t,
-                    k,
-                    test_backends.paper_accusation_statistic,
-                    test_backends.paper_timeout_policy,
-                    tracked=False,
-                )[0]
-                for _ in compileds
-            ]
-            result = execute_multi_batch(sims, compileds, backend=backend)
-            return [observable(sim) for sim in sims], [
-                r.steps_executed for r in result.results
-            ]
-
-        assert run("auto") == run("python")
-
-
-class TestVectorMultiBatchDiagnostics:
-    def test_strict_vector_raises_on_observer_batches(self):
-        if not get_backend("vector").available():
-            pytest.skip("numpy unavailable")
-        sim, _ = test_backends._anti_omega_replica(
-            4,
-            2,
-            2,
-            test_backends.paper_accusation_statistic,
-            test_backends.paper_timeout_policy,
-            tracked=True,
-        )
-        compiled = CompiledSchedule(n=4, steps=[1, 2, 3, 4])
-        backend = VectorBackend(require_lowering=True)
-        with pytest.raises(SimulationError, match="could not lower"):
-            backend.run_multi_batch([sim], [compiled], FAST)
-
-    def test_lenient_vector_falls_back_and_reports(self):
-        if not get_backend("vector").available():
-            pytest.skip("numpy unavailable")
-        sim, _ = test_backends._anti_omega_replica(
-            4,
-            2,
-            2,
-            test_backends.paper_accusation_statistic,
-            test_backends.paper_timeout_policy,
-            tracked=True,
-        )
-        compiled = CompiledSchedule(n=4, steps=[1, 2, 3, 4])
-        backend = VectorBackend()
-        backend.run_multi_batch([sim], [compiled], FAST)
-        assert backend.last_run["vectorized"] is False
-        assert "observer" in backend.last_run["reason"]

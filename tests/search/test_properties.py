@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.failure_detectors.base import FD_OUTPUT
+from repro.runtime.kernel import execute_multi_batch
 from repro.scenarios.spec import build_generator
 from repro.search import (
     AgreementSafetyProperty,
@@ -11,13 +12,14 @@ from repro.search import (
     LeaderSetConvergenceProperty,
     available_properties,
     certify_schedule,
-    checkpoint_snapshots,
     make_property,
     make_recipe,
     property_descriptions,
     realize,
     timeliness_fitness,
 )
+from repro.runtime.vector_backend import UnsupportedLowering
+from repro.search.properties import PROPERTY_CLASSES, screen_generation
 
 IN_MODEL = {
     "schedule": "set-timely",
@@ -91,32 +93,99 @@ class TestRegistry:
         assert prop.certification_sizes() == (2, 4)
 
 
-class TestCheckpointSnapshots:
+def reference_snapshots(prop, compiled, checkpoints):
+    """The reference screen's snapshots for one candidate."""
+    result = execute_multi_batch(
+        [prop._build_simulator()],
+        [compiled],
+        checkpoints=checkpoints,
+        snapshot_keys=prop.screen_keys,
+    )
+    return result.snapshots[0]
+
+
+class TestReferenceScreen:
     def test_snapshot_count_and_final_state(self):
         prop = KAntiOmegaConvergenceProperty(n=4, t=2, k=2)
         compiled = in_model_schedule(1200)
-        simulator = prop._build_simulator()
-        snapshots = checkpoint_snapshots(simulator, compiled, 6, (FD_OUTPUT,))
+        snapshots = reference_snapshots(prop, compiled, 6)
         assert len(snapshots) == 6
         # The final snapshot must equal a fresh uninstrumented full run.
         reference = prop._build_simulator()
         reference.run_fast(compiled)
         for pid in range(1, 5):
             assert snapshots[-1][pid][FD_OUTPUT] == reference.output_of(pid, FD_OUTPUT)
+        assert prop.screen(compiled, 6) == prop.judge_screen(snapshots, compiled)
 
     def test_zero_checkpoints_rejected(self):
         prop = KAntiOmegaConvergenceProperty(n=4, t=2, k=2)
         with pytest.raises(ConfigurationError):
-            checkpoint_snapshots(prop._build_simulator(), in_model_schedule(100), 0, (FD_OUTPUT,))
+            prop.screen(in_model_schedule(100), 0)
 
     def test_zero_length_schedule_snapshots(self):
         # Regression: a zero-step compiled buffer still yields the requested
         # number of (identical, initial-state) snapshots instead of raising.
         prop = KAntiOmegaConvergenceProperty(n=4, t=2, k=2)
         compiled = build_generator(IN_MODEL).compile(0)
-        snapshots = checkpoint_snapshots(prop._build_simulator(), compiled, 3, (FD_OUTPUT,))
+        snapshots = reference_snapshots(prop, compiled, 3)
         assert len(snapshots) == 3
         assert snapshots[0] == snapshots[-1]
+        assert prop.screen(compiled, 3).details["checkpoints"] == 3
+
+    def test_auto_screen_builds_one_simulator_per_candidate(self, monkeypatch):
+        # agreement-safety has no column screen: the auto planner must fall
+        # back without building a throwaway replica per candidate first.
+        prop = make_property("agreement-safety", {"n": 4, "t": 2, "k": 2})
+        build = prop._build_simulator
+        builds = []
+
+        def counting_build():
+            builds.append(1)
+            return build()
+
+        monkeypatch.setattr(prop, "_build_simulator", counting_build)
+        compileds = [in_model_schedule(horizon) for horizon in (12, 40, 300)]
+        verdicts = screen_generation(prop, compileds, 6, backend="auto")
+        assert len(verdicts) == len(compileds)
+        assert len(builds) == len(compileds)
+
+    @pytest.mark.parametrize("name", sorted(PROPERTY_CLASSES))
+    def test_final_snapshot_matches_full_run(self, name):
+        # Every registered property's reference screen samples its own keys;
+        # the last checkpoint is the state after the whole candidate.
+        prop = make_property(name, {"n": 4, "t": 2, "k": 2})
+        compiled = in_model_schedule(600)
+        snapshots = reference_snapshots(prop, compiled, 4)
+        reference = prop._build_simulator()
+        reference.run_fast(compiled)
+        assert snapshots[-1] == {
+            pid: {key: reference.output_of(pid, key) for key in prop.screen_keys}
+            for pid in range(1, 5)
+        }
+
+    def test_default_column_screen_builds_nothing(self, monkeypatch):
+        prop = make_property("agreement-safety", {"n": 4, "t": 2, "k": 2})
+
+        def no_build():
+            raise AssertionError("the default column screen built a simulator")
+
+        monkeypatch.setattr(prop, "_build_simulator", no_build)
+        with pytest.raises(UnsupportedLowering, match="no column screen"):
+            prop.batch_screen_snapshots([in_model_schedule(40)], 6)
+
+    def test_forced_column_lane_raises_before_building(self, monkeypatch):
+        prop = make_property("agreement-safety", {"n": 4, "t": 2, "k": 2})
+        builds = []
+        build = prop._build_simulator
+
+        def counting_build():
+            builds.append(1)
+            return build()
+
+        monkeypatch.setattr(prop, "_build_simulator", counting_build)
+        with pytest.raises(SimulationError, match="could not take the batch"):
+            screen_generation(prop, [in_model_schedule(40)], 6, backend="vector")
+        assert builds == []
 
 
 def all_crashed_schedule(horizon=40):

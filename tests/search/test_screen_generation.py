@@ -124,7 +124,7 @@ class TestAutoFallback:
         assert plan["lane"] == "reference" and plan["batch"] == 3
         assert plan["reason"]
         if get_backend("vector").available():
-            assert "ComposedAutomaton" in plan["reason"]
+            assert "AgreementSafetyProperty has no column screen" in plan["reason"]
             assert any(
                 "falling back" in record.message for record in caplog.records
             )

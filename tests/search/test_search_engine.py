@@ -182,7 +182,8 @@ class _AlwaysViolated(KAntiOmegaConvergenceProperty):
 
     Exercises the violation branch (classification + confirm-predicate
     shrinking) that the real detector — correctly — never reaches at smoke
-    scale.
+    scale.  The screen verdict comes from ``judge_screen``, the one hook
+    every screen lane (column and reference) funnels through.
     """
 
     name = "stub-always-violated"
@@ -198,7 +199,7 @@ class _AlwaysViolated(KAntiOmegaConvergenceProperty):
             details={"count": count, "all_correct_produced": True},
         )
 
-    def screen(self, compiled, checkpoints):
+    def judge_screen(self, snapshots, compiled):
         return self._verdict(compiled, "screen")
 
     def confirm(self, compiled):
