@@ -24,14 +24,14 @@ Two benchmark suites, deliberately small and stable across PRs:
   (inline), and enabled across a persistent two-worker pool.  Payload
   equality between the streamed and batched paths is asserted on every run.
   A ``search-eval`` lane runs one whole search generation under the python
-  backend and the auto planner, recording what backend dispatch buys the
-  end-to-end campaign path.
+  screen backend and the auto planner, recording what the numpy screen buys
+  the end-to-end campaign path.
 
 The kernel suite also carries the **whole-generation screening lane**
-(:func:`bench_screen`): one column ``screen_generation`` call over a seeded
-mixed-length generation vs. the per-candidate reference screen loop, with
-verdict equality asserted and the ratio gated at the absolute
-:data:`SCREEN_HEADLINE_FLOOR`.
+(:func:`bench_screen`), measured whenever numpy is importable: one numpy
+``screen_generation`` call over a seeded mixed-length generation vs. the
+per-candidate reference screen loop, with verdict equality asserted and the
+ratio gated at the absolute :data:`SCREEN_HEADLINE_FLOOR`.
 
 ``write_trajectory`` persists both suites as ``BENCH_kernel.json`` and
 ``BENCH_campaign.json``; :func:`check_regression` compares the structural
@@ -50,7 +50,7 @@ from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from ..errors import ConfigurationError
-from ..runtime import vector_backend as _vector
+from ..runtime import vector_backend
 from ..runtime.automaton import (
     BoundReadOp,
     BoundWriteOp,
@@ -59,7 +59,6 @@ from ..runtime.automaton import (
     ReadOp,
     WriteOp,
 )
-from ..runtime.backends import get_backend
 from ..runtime.kernel import execute_batch
 from ..runtime.observers import OutputTracker
 from ..runtime.simulator import Simulator, build_simulator
@@ -93,18 +92,6 @@ CAMPAIGN_CONFIGS: List[Dict[str, Any]] = [
 #: Replicas driven per execute_batch call in the batched kernel cases.
 BATCH_REPLICAS = 8
 
-#: Replicas per execute_batch call in the vector-backend mega-batch case.
-#: The column lane amortizes its per-step interpreter overhead across the
-#: whole batch, so its sweet spot is two orders of magnitude wider than the
-#: reference backend's (per-replica cost roughly halves from 256 to 1024
-#: rows, the backend's single-chunk maximum).
-VECTOR_BATCH_REPLICAS = 1024
-
-#: Kernel workloads with a registered vector lowering.  ``fresh-ops`` stays
-#: python-only by design: it allocates fresh operation objects every step,
-#: which is exactly the shape the column lane cannot (and should not) absorb.
-VECTOR_LOWERED_WORKLOADS = ("floor", "bound-ops")
-
 #: Whole-generation screening lane: candidates per generation (full / smoke),
 #: schedule horizon, and checkpoint count.  The shapes sit where a real
 #: coverage-guided search generation lands (mixed-length schedules, a sprinkle
@@ -120,7 +107,7 @@ SCREEN_CHECKPOINTS = 8
 SCREEN_PROPERTY = {"n": 4, "t": 2, "k": 2}
 
 #: Search-eval campaign lane: population evaluated as one ``search-eval``
-#: chunk, python backend vs. the auto planner (full / smoke).
+#: chunk, python screen backend vs. the auto planner (full / smoke).
 SEARCH_EVAL_POPULATION = 256
 SEARCH_EVAL_POPULATION_SMOKE = 128
 
@@ -210,86 +197,12 @@ class PreboundPingAutomaton(ProcessAutomaton):
                 self.publish("beat", value)
 
 
-class FloorAutomaton(ProcessAutomaton):
-    """:func:`floor_workload` as a named class, so backends can lower it by type.
-
-    The program delegates to the workload generator verbatim — byte-identical
-    register traffic to the historical ``FunctionAutomaton`` wrapping — but a
-    named class gives the vector backend's lowering registry a dispatch key.
-    The prebind hook interns the process's register eagerly, pinning the
-    arena layout at construction time; lazy interning would order slots by
-    first access, which depends on the schedule (and on crash masks), and the
-    column backend's compile-time interning could not reproduce it.
-    """
-
-    def prebind(self, registers):
-        """Intern this process's register for a schedule-independent layout."""
-        registers.resolve_slot(self.pid)
-
-    def program(self, ctx):
-        return floor_workload(self, ctx)
-
-
 #: Workload name -> automaton factory ``(pid, n) -> ProcessAutomaton``.
 WORKLOADS: Dict[str, Callable] = {
-    "floor": FloorAutomaton,
+    "floor": lambda pid, n: FunctionAutomaton(pid, n, floor_workload),
     "fresh-ops": lambda pid, n: FunctionAutomaton(pid, n, fresh_ops_workload),
     "bound-ops": PreboundPingAutomaton,
 }
-
-
-# ----------------------------------------------------------------------
-# Vector lowerings for the bench workloads
-# ----------------------------------------------------------------------
-
-@_vector.register_lowering(FloorAutomaton)
-def _lower_floor(automata, cc):
-    """Lower the floor workload: read step, write-1 step, beat every 512."""
-    np = _vector.np
-    pid = automata[0].pid
-    beat = np.zeros(cc.batch_size, dtype=np.int64)
-
-    def bump_and_publish(rows, ctx):
-        beat[rows] += 1
-        hits = rows[beat[rows] % 512 == 0]
-        if hits.size:
-            for row, count in zip(hits.tolist(), beat[hits].tolist()):
-                ctx.publish(row, "beat", count)
-
-    return _vector.ColumnProgram(
-        [
-            _vector.ColRead(cc.slot(pid)),
-            cc.write(pid, pid, lambda rows: 1),
-            _vector.ColVec(bump_and_publish),
-            _vector.ColJump(0),
-        ]
-    )
-
-
-@_vector.register_lowering(PreboundPingAutomaton)
-def _lower_prebound_ping(automata, cc):
-    """Lower bound-ops: read-increment-write on one owned lane, beat every 512."""
-    np = _vector.np
-    pid = automata[0].pid
-    value = np.zeros(cc.batch_size, dtype=np.int64)
-
-    def fold(rows, values_column, missing):
-        value[rows] = values_column + 1
-
-    def maybe_publish(rows, ctx):
-        hits = rows[value[rows] % 512 == 0]
-        if hits.size:
-            for row, count in zip(hits.tolist(), value[hits].tolist()):
-                ctx.publish(row, "beat", count)
-
-    return _vector.ColumnProgram(
-        [
-            _vector.ColRead(cc.slot(("ping", pid)), fold),
-            cc.write(pid, ("ping", pid), lambda rows: value[rows]),
-            _vector.ColVec(maybe_publish),
-            _vector.ColJump(0),
-        ]
-    )
 
 
 # ----------------------------------------------------------------------
@@ -316,15 +229,15 @@ def _screen_generation_candidates(batch: int, horizon: int, n: int, seed: int = 
 
 
 def bench_screen(smoke: bool = False, repeats: Optional[int] = None) -> Dict[str, Any]:
-    """Measure whole-generation screening: column lane vs. per-candidate reference.
+    """Measure whole-generation screening: numpy screen vs. per-candidate reference.
 
     Both lanes run the real search screening APIs — the reference lane is a
     per-candidate :meth:`~repro.search.properties.ScheduleProperty.screen`
     loop (one simulator build plus a bare-kernel checkpoint walk each), the
     vector lane is one :func:`~repro.search.properties.screen_generation`
-    call forced onto the column backend — over the same seeded generation,
-    and the returned verdicts are compared for equality on every run.
-    Requires numpy (callers gate on the vector backend's availability).
+    call forced onto the sim-free numpy screen — over the same seeded
+    generation, and the returned verdicts are compared for equality on every
+    run.  Requires numpy (:func:`bench_kernel` skips it without).
     """
     from ..search.properties import KAntiOmegaConvergenceProperty, screen_generation
 
@@ -421,7 +334,6 @@ def _kernel_simulator(
 def bench_kernel(
     smoke: bool = False,
     workloads: Optional[List[str]] = None,
-    backends: Optional[List[str]] = None,
 ) -> Dict[str, Any]:
     """Run the pinned kernel suite and return the trajectory document.
 
@@ -431,12 +343,8 @@ def bench_kernel(
     their workloads support and are meant for interactive re-measurement,
     not for committing as the baseline.
 
-    ``backends`` selects the execution backends to measure (the ``repro
-    bench --backend`` switch).  ``None`` measures the pure-Python reference
-    kernel plus the vector column backend when its numpy dependency is
-    present; naming a backend explicitly is strict — requesting ``vector``
-    without numpy raises :class:`~repro.errors.ConfigurationError` instead
-    of silently skipping the lane.
+    The whole-generation screening lane (:func:`bench_screen`) runs whenever
+    numpy is importable and is skipped — and therefore ungated — otherwise.
     """
     horizon = 20_000 if smoke else 60_000
     repeats = 3 if smoke else 5
@@ -451,17 +359,6 @@ def bench_kernel(
                 f"unknown workload(s) {unknown}; available: {sorted(WORKLOADS)}"
             )
         selected = list(dict.fromkeys(workloads))
-    if backends is None:
-        selected_backends = ["python"]
-        if get_backend("vector").available():
-            selected_backends.append("vector")
-    else:
-        selected_backends = list(dict.fromkeys(backends))
-        for backend_name in selected_backends:
-            # Unknown names raise listing the registry; known-but-unavailable
-            # ones raise naming the missing optional dependency.
-            get_backend(backend_name).ensure_available()
-    measure_vector = "vector" in selected_backends
 
     def stream():
         return build_generator(KERNEL_SCENARIO).stream()
@@ -496,15 +393,6 @@ def bench_kernel(
             results = execute_batch(replicas, compiled)
             return sum(result.steps_executed for result in results)
 
-        def run_vector_batch_bare() -> int:
-            replicas = [
-                _kernel_simulator(n, factory, tracked=False)[0]
-                for _ in range(VECTOR_BATCH_REPLICAS)
-            ]
-            backend = _vector.VectorBackend(require_lowering=True)
-            results = execute_batch(replicas, compiled, backend=backend)
-            return sum(result.steps_executed for result in results)
-
         case_runs = [
             ("instrumented", run_instrumented),
             ("fast-stream", run_fast_stream_tracked),
@@ -512,8 +400,6 @@ def bench_kernel(
             ("fast-stream-bare", run_fast_stream_bare),
             ("batch-compiled-bare", run_batch_compiled_bare),
         ]
-        if measure_vector and workload_name in VECTOR_LOWERED_WORKLOADS:
-            case_runs.append(("vector-batch-bare", run_vector_batch_bare))
         cases: Dict[str, Any] = {}
         for case_name, run_once in case_runs:
             ns_per_step, steps = _median_ns_per_step(run_once, repeats)
@@ -530,14 +416,6 @@ def bench_kernel(
                 2,
             )
         }
-        if "vector-batch-bare" in cases:
-            # Per-workload claim: the numpy column lane vs. the same per-run
-            # fast path — the mega-batch amortization headline.
-            cases["headline"]["vector_vs_fast_stream"] = round(
-                cases["fast-stream-bare"]["ns_per_step"]
-                / cases["vector-batch-bare"]["ns_per_step"],
-                2,
-            )
         workload_docs[workload_name] = cases
 
     # Both bracketing workloads are headline numbers: the floor ratio tracks
@@ -552,15 +430,11 @@ def bench_kernel(
         headline["fresh_ops_batched_vs_fast_stream"] = workload_docs["fresh-ops"][
             "headline"
         ]["batched_vs_fast_stream"]
-    if "vector_vs_fast_stream" in workload_docs.get("floor", {}).get("headline", {}):
-        headline["vector_vs_fast_stream"] = workload_docs["floor"]["headline"][
-            "vector_vs_fast_stream"
-        ]
 
-    # The whole-generation screening lane rides the vector backend: measured
-    # whenever the column lane is, skipped (and therefore ungated) otherwise.
+    # The whole-generation screening lane needs numpy: measured whenever it
+    # is importable, skipped (and therefore ungated) otherwise.
     screen_doc: Optional[Dict[str, Any]] = None
-    if measure_vector:
+    if vector_backend.np is not None:
         screen_doc = bench_screen(smoke=smoke)
         headline["vector_screen_vs_reference_screen"] = screen_doc["ratio"]
 
@@ -574,10 +448,9 @@ def bench_kernel(
             "horizon": horizon,
             "repeats": repeats,
             "batch_replicas": BATCH_REPLICAS,
-            "vector_batch_replicas": VECTOR_BATCH_REPLICAS,
             "smoke": smoke,
             "workloads": selected,
-            "backends": selected_backends,
+            "backends": ["python"],
         },
         "workloads": workload_docs,
         "screen": screen_doc,
@@ -590,9 +463,9 @@ def bench_kernel(
 # ----------------------------------------------------------------------
 
 def _bench_search_eval(smoke: bool, repeats: int) -> Tuple[Dict[str, Any], Dict[str, Any], bool]:
-    """One ``search-eval`` generation, python backend vs. the auto planner.
+    """One ``search-eval`` generation, python screen backend vs. the auto planner.
 
-    Measures what auto-backend dispatch buys the campaign path end-to-end —
+    Measures what the auto screen planner buys the campaign path end-to-end —
     the run includes recipe realization and confirm/certify for flagged
     candidates, which both lanes share, so the ratio is deliberately more
     modest than the pure screening headline.  The screen-verdict cache is
@@ -751,12 +624,11 @@ def bench_campaign(smoke: bool = False) -> Dict[str, Any]:
 def write_trajectory(
     out_dir: Union[str, Path],
     smoke: bool = False,
-    backends: Optional[List[str]] = None,
 ) -> Tuple[Dict[str, Any], Dict[str, Any], List[Path]]:
     """Run both suites and write the two trajectory files into ``out_dir``."""
     target = Path(out_dir)
     target.mkdir(parents=True, exist_ok=True)
-    kernel_doc = bench_kernel(smoke=smoke, backends=backends)
+    kernel_doc = bench_kernel(smoke=smoke)
     campaign_doc = bench_campaign(smoke=smoke)
     paths: List[Path] = []
     for filename, document in (
@@ -783,15 +655,11 @@ def load_trajectory(directory: Union[str, Path]) -> Tuple[Dict[str, Any], Dict[s
 #: advantage — collapses the ratio far past 25%).
 REGRESSION_TOLERANCE = 0.25
 
-#: Absolute floor for the vector-backend headline: the column lane must beat
-#: the per-run fast path by at least this ratio on the floor workload whenever
-#: it is measured.  Unlike the relative regression check this does not depend
-#: on the committed baseline, so the claim cannot erode across re-baselines.
-VECTOR_HEADLINE_FLOOR = 8.0
-
-#: Absolute floor for the whole-generation screening headline: one column
+#: Absolute floor for the whole-generation screening headline: one numpy
 #: screen_generation call must beat the per-candidate reference screen loop
-#: by at least this ratio whenever the lane is measured (ISSUE 8's gate).
+#: by at least this ratio whenever the lane is measured.  Unlike the relative
+#: regression check this does not depend on the committed baseline, so the
+#: claim cannot erode across re-baselines.
 SCREEN_HEADLINE_FLOOR = 5.0
 
 #: Headline ratios whose relative gate only applies when fresh and baseline
@@ -801,7 +669,6 @@ SCREEN_HEADLINE_FLOOR = 5.0
 #: they stay gated by their absolute floors and identity checks.
 MODE_SENSITIVE_HEADLINES = frozenset(
     {
-        "vector_vs_fast_stream",
         "vector_screen_vs_reference_screen",
         "search_eval_auto_vs_python",
     }
@@ -838,22 +705,18 @@ def compare_trajectories(
     layer).  A key the baseline does not carry is skipped, so a freshly
     promoted headline starts gating from the first baseline that records it;
     a key the *fresh* document does not carry is also skipped, so a no-numpy
-    environment (which cannot measure the vector lane) still gates what it
-    did measure.  The vector headline's *relative* gate only applies when
-    fresh and baseline were measured in the same mode (both smoke or both
-    full): the column backend's fixed per-run compile/teardown cost
-    amortizes over the horizon, so its ratio moves structurally — not
-    noisily — between smoke and full horizons, and a cross-mode comparison
-    within the tolerance band would fail on every CI smoke run.  Cross-mode,
-    the vector headline is still gated by the absolute
-    :data:`VECTOR_HEADLINE_FLOOR`, which applies whenever it is present.
+    environment (which cannot measure the screening lane) still gates what
+    it did measure.  The :data:`MODE_SENSITIVE_HEADLINES` keep their
+    *relative* gate only when fresh and baseline were measured in the same
+    mode (both smoke or both full); cross-mode, the screening headline is
+    still gated by the absolute :data:`SCREEN_HEADLINE_FLOOR`, which applies
+    whenever it is present.
     Returns a list of failure messages (empty when the trajectory holds).
     """
     failures: List[str] = []
     for label, fresh_doc, baseline_doc, key in (
         ("kernel", kernel_doc, baseline_kernel, "batched_vs_fast_stream"),
         ("kernel", kernel_doc, baseline_kernel, "fresh_ops_batched_vs_fast_stream"),
-        ("kernel", kernel_doc, baseline_kernel, "vector_vs_fast_stream"),
         ("kernel", kernel_doc, baseline_kernel, "vector_screen_vs_reference_screen"),
         ("campaign", campaign_doc, baseline_campaign, "batched_vs_stream"),
         ("campaign", campaign_doc, baseline_campaign, "search_eval_auto_vs_python"),
@@ -875,12 +738,6 @@ def compare_trajectories(
                 f"{label} headline {key} regressed: {fresh:.2f}x vs. committed "
                 f"baseline {baseline:.2f}x (floor {floor:.2f}x)"
             )
-    fresh_vector = kernel_doc["headline"].get("vector_vs_fast_stream")
-    if fresh_vector is not None and float(fresh_vector) < VECTOR_HEADLINE_FLOOR:
-        failures.append(
-            f"kernel headline vector_vs_fast_stream below the absolute floor: "
-            f"{float(fresh_vector):.2f}x vs. required {VECTOR_HEADLINE_FLOOR:.1f}x"
-        )
     fresh_screen = kernel_doc["headline"].get("vector_screen_vs_reference_screen")
     if fresh_screen is not None and float(fresh_screen) < SCREEN_HEADLINE_FLOOR:
         failures.append(
@@ -891,7 +748,7 @@ def compare_trajectories(
     screen_doc = kernel_doc.get("screen")
     if screen_doc is not None and not screen_doc.get("verdicts_identical", False):
         failures.append(
-            "screen verdicts differ between the column lane and the "
+            "screen verdicts differ between the numpy screen and the "
             "per-candidate reference screen"
         )
     if not campaign_doc.get("payloads_identical", False):
@@ -900,7 +757,7 @@ def compare_trajectories(
         )
     if not campaign_doc.get("search_eval_payloads_identical", True):
         failures.append(
-            "search-eval payloads differ between the python and auto backends"
+            "search-eval payloads differ between the python and auto screen backends"
         )
     return failures
 
@@ -933,24 +790,11 @@ def performance_markdown(
         "fast-stream-bare",
         "batch-compiled-bare",
     ]
-    if any(
-        "vector-batch-bare" in workload
-        for workload in kernel_doc["workloads"].values()
-    ):
-        case_names.append("vector-batch-bare")
     for case in case_names:
         row = f"| {case} |"
         for name in workload_names:
-            workload = kernel_doc["workloads"][name]
-            entry = workload.get(case)
-            if entry is None:
-                # The vector lane only lowers some workloads (by design).
-                row += " — | — |"
-            else:
-                row += (
-                    f" {entry['ns_per_step']} | "
-                    f"{entry['speedup_vs_instrumented']}x |"
-                )
+            entry = kernel_doc["workloads"][name][case]
+            row += f" {entry['ns_per_step']} | {entry['speedup_vs_instrumented']}x |"
         lines.append(row)
     lines.append("")
     headline = kernel_doc["headline"]
@@ -966,15 +810,6 @@ def performance_markdown(
             "batched vs. per-run on the fresh-operation workload (op construction "
             "plus tuple-name resolution every step — the slot-addressed pipeline's "
             "target profile)."
-        )
-    if "vector_vs_fast_stream" in headline:
-        lines.append(
-            f"Vector headline: the numpy column backend runs the floor workload "
-            f"**{headline['vector_vs_fast_stream']}x** faster per replica-step "
-            f"than the per-run fast path "
-            f"({kernel_doc['config'].get('vector_batch_replicas', VECTOR_BATCH_REPLICAS)} "
-            "replicas per mega-batch; gated at >= "
-            f"{VECTOR_HEADLINE_FLOOR:.0f}x)."
         )
     screen_doc = kernel_doc.get("screen")
     if screen_doc is not None:
@@ -993,7 +828,7 @@ def performance_markdown(
             )
         lines.append("")
         lines.append(
-            f"Screening headline: one column `screen_generation` call is "
+            f"Screening headline: one numpy `screen_generation` call is "
             f"**{headline['vector_screen_vs_reference_screen']}x** faster than "
             f"the per-candidate reference screen loop (gated at >= "
             f"{SCREEN_HEADLINE_FLOOR:.0f}x); verdicts identical: "
@@ -1023,7 +858,7 @@ def performance_markdown(
     auto_ratio = campaign_doc["headline"].get("search_eval_auto_vs_python")
     if auto_ratio is not None:
         lines.append(
-            f"Search-eval generation, auto planner vs. python backend: "
+            f"Search-eval generation, auto planner vs. python screen backend: "
             f"**{auto_ratio}x** end-to-end (recipe realization and "
             "confirm/certify are shared costs); payloads byte-identical: "
             f"**{campaign_doc.get('search_eval_payloads_identical')}**."

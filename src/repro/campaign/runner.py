@@ -239,6 +239,16 @@ def _detector_report(params: Dict[str, Any]):
         raise ConfigurationError(
             f"unknown statistic/policy: {params.get('statistic')!r}/{params.get('policy')!r}"
         )
+    # "backend" stays an accepted key so existing "python" specs keep their
+    # schedule signatures and cache keys; the column lane the other values
+    # selected is gone, and outside input naming it must not pass silently.
+    backend = params.get("backend", "python")
+    if backend != "python":
+        raise ConfigurationError(
+            f"campaign param backend={backend!r} is no longer supported: the "
+            "numpy column execution lane was removed and detector runs always "
+            'use the reference kernel; drop the param or set it to "python"'
+        )
     generator = build_generator(params)
     horizon = int(params["horizon"])
     compiled = compiled_schedule_for(params, horizon)
@@ -251,14 +261,6 @@ def _detector_report(params: Dict[str, Any]):
         timeout_policy=policy,
         fast=True,
         schedule=compiled,
-        # An execution-engine selector, not a schedule parameter: the backend
-        # conformance contract pins the payload byte-identical across values,
-        # so it rides in _EXPERIMENT_KEYS and compiled buffers stay shared.
-        # "auto" asks the planner to pick the vector column lane when every
-        # automaton in the batch has a registered lowering (loud reference
-        # fallback otherwise); "vector" is strict, "python" (the default)
-        # pins the reference kernel.
-        backend=params.get("backend", "python"),
     )
     return generator, compiled, report
 

@@ -509,15 +509,6 @@ def build_parser() -> argparse.ArgumentParser:
         "fresh-ops, bound-ops). Skips the campaign suite and writes no "
         "trajectory files — an interactive filter, not a baseline refresh",
     )
-    bench.add_argument(
-        "--backend",
-        action="append",
-        default=None,
-        metavar="NAME",
-        help="measure this execution backend in the kernel suite (repeatable; "
-        "python, vector). Default: python plus vector when numpy is "
-        "installed; naming vector explicitly without numpy is an error",
-    )
 
     return parser
 
@@ -1040,9 +1031,7 @@ def _run_bench(args: argparse.Namespace) -> List[str]:
                 "--workload measures a partial suite; run a full `repro bench "
                 "--check` for the regression gate"
             )
-        kernel_doc = bench_kernel(
-            smoke=args.smoke, workloads=args.workload, backends=args.backend
-        )
+        kernel_doc = bench_kernel(smoke=args.smoke, workloads=args.workload)
         lines = [
             f"kernel workload re-measurement ({'smoke' if args.smoke else 'full'} mode):"
         ]
@@ -1059,20 +1048,13 @@ def _run_bench(args: argparse.Namespace) -> List[str]:
                 f"    headline (batched vs. per-run fast): "
                 f"{cases['headline']['batched_vs_fast_stream']}x"
             )
-            if "vector_vs_fast_stream" in cases["headline"]:
-                lines.append(
-                    f"    headline (vector vs. per-run fast):  "
-                    f"{cases['headline']['vector_vs_fast_stream']}x"
-                )
         return lines
 
     # Load the baseline before measuring: with --out and --check both
     # pointing at the repo root, writing first would overwrite the committed
     # baseline and turn the regression check into a self-comparison.
     baseline = load_trajectory(args.check) if args.check is not None else None
-    kernel_doc, campaign_doc, paths = write_trajectory(
-        args.out, smoke=args.smoke, backends=args.backend
-    )
+    kernel_doc, campaign_doc, paths = write_trajectory(args.out, smoke=args.smoke)
     lines = [
         f"benchmark trajectory ({'smoke' if args.smoke else 'full'} mode):",
         *(f"  wrote {path}" for path in paths),
@@ -1081,14 +1063,9 @@ def _run_bench(args: argparse.Namespace) -> List[str]:
         f"  kernel headline   (fresh-ops: bare batched vs. per-run fast): "
         f"{kernel_doc['headline']['fresh_ops_batched_vs_fast_stream']}x",
     ]
-    if "vector_vs_fast_stream" in kernel_doc["headline"]:
-        lines.append(
-            f"  kernel headline   (floor: vector column vs. per-run fast):    "
-            f"{kernel_doc['headline']['vector_vs_fast_stream']}x"
-        )
     if "vector_screen_vs_reference_screen" in kernel_doc["headline"]:
         lines.append(
-            f"  kernel headline   (generation screen: column vs. reference):  "
+            f"  kernel headline   (generation screen: numpy vs. reference):   "
             f"{kernel_doc['headline']['vector_screen_vs_reference_screen']}x"
         )
     lines.extend(
@@ -1195,8 +1172,8 @@ def _run_solve(t: int, k: int, n: int, seed: int, max_steps: int) -> List[str]:
 def run(argv: Optional[Sequence[str]] = None) -> List[str]:
     """Execute the CLI and return the lines it would print (also used by tests).
 
-    Configuration mistakes (an unknown workload or backend name, a backend
-    whose optional dependency is missing, ...) propagate as
+    Configuration mistakes (an unknown workload, property or screening
+    backend name, ...) propagate as
     :class:`~repro.errors.ConfigurationError`, so programmatic callers can
     catch them; the console entry point (:func:`main`) converts them into a
     clean one-line exit naming the valid choices.
@@ -1257,9 +1234,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """Console entry point.
 
     Library-level :class:`~repro.errors.ConfigurationError` (an unknown
-    workload or backend name, a backend whose optional dependency is
-    missing, ...) becomes a clean one-line ``SystemExit`` listing the valid
-    choices, not an uncaught traceback.
+    workload, property or screening backend name, ...) becomes a clean
+    one-line ``SystemExit`` listing the valid choices, not an uncaught
+    traceback.
     """
     try:
         lines = run(argv)

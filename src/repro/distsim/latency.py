@@ -3,7 +3,7 @@
 A latency model turns a per-channel RNG stream and the current simulated time
 into a positive integer delivery delay.  Models are registered by name so
 workload families (and campaign parameter grids) can select them with a plain
-string — the same convention the scenario-family and backend registries use.
+string — the same convention the scenario-family and property registries use.
 
 Registered models:
 

@@ -68,6 +68,7 @@ from typing import (
     Iterable,
     Iterator,
     List,
+    Mapping,
     Optional,
     Sequence,
     Tuple,
@@ -85,6 +86,7 @@ from .automaton import (
     is_read_operation,
     validate_operation,
 )
+from .backends import MultiBatchResult
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .simulator import ProcessState, RunResult, ScheduleSource, Simulator, StopCondition
@@ -613,10 +615,9 @@ def align_replica_arenas(
     declared defaults), after which slot ``i`` names the same register in
     every replica and ``[sim.registers.arena_view().values for sim in
     simulators]`` is a set of aligned per-replica value columns over one
-    logical slot map: the stepping stone to vectorized multi-replica
-    execution.  Identically built replicas executing the same schedule also
-    *stay* aligned, because they intern lazily created registers in the same
-    order.
+    logical slot map.  Identically built replicas executing the same
+    schedule also *stay* aligned, because they intern lazily created
+    registers in the same order.
 
     Returns the shared ``name → slot`` map when the replicas align.  When
     pre-existing interning orders diverge, alignment is impossible without
@@ -641,6 +642,20 @@ def align_replica_arenas(
         for name in canonical_names[len(arena):]:
             resolve_slot(name)
     return dict(canonical.slots)
+
+
+def _filtered_buffer(
+    steps: Sequence[ProcessId], budget: int, mask: Mapping[ProcessId, int]
+) -> array:
+    """The budgeted buffer with a crash mask's dead steps deleted."""
+    return array(
+        "i",
+        (
+            pid
+            for index, pid in enumerate(islice(iter(steps), budget))
+            if index < mask.get(pid, budget)
+        ),
+    )
 
 
 def _normalize_crash_masks(
@@ -678,7 +693,6 @@ def execute_batch(
     schedule: "ScheduleSource",
     max_steps: Optional[int] = None,
     policy: ExecutionPolicy = FAST,
-    backend: Any = None,
     crash_steps: Optional[Sequence[Optional[Dict[ProcessId, int]]]] = None,
 ) -> List["RunResult"]:
     """Drive a batch of independent replicas over one shared schedule source.
@@ -687,13 +701,10 @@ def execute_batch(
     once (non-re-iterable sources are materialized into a shared
     :class:`~repro.core.schedule.CompiledSchedule` buffer) and the replicas'
     register arenas are slot-aligned (:func:`align_replica_arenas`), then each
-    replica is executed to the same step budget under ``policy``.
-
-    ``backend`` selects *how* the steps are driven — a name registered in
-    :mod:`repro.runtime.backends` (``"python"``, ``"vector"``), a
-    :class:`~repro.runtime.backends.Backend` instance, or ``None`` for the
-    pure-Python reference backend.  Every backend is held to the same
-    contract: results come back in replica order and are identical to
+    replica is executed to the same step budget under ``policy``, one replica
+    at a time: the bare counted loop when it attaches no observers and the
+    policy records no trace, the general loop otherwise.  Results come back
+    in replica order and are identical to
     ``[execute(sim, schedule, max_steps, None, policy) for sim in simulators]``.
 
     ``crash_steps``, when given, is one crash mask per replica (a mapping
@@ -705,8 +716,6 @@ def execute_batch(
     per-replica so one compiled schedule can drive a batch of replicas with
     diverging failure patterns.
     """
-    from .backends import get_backend  # local import: backends imports this module
-
     sims = list(simulators)
     if not sims:
         return []
@@ -721,7 +730,34 @@ def execute_batch(
     compiled = _materialize_for_batch(n, schedule, max_steps)
     steps = compiled.steps
     budget = len(steps) if max_steps is None else min(max_steps, len(steps))
-    return get_backend(backend).run_batch(sims, compiled, budget, policy, masks)
+    whole_buffer = budget == len(steps)
+    counts = compiled.step_counts() if whole_buffer else None
+    results: List["RunResult"] = []
+    for index, sim in enumerate(sims):
+        mask = masks[index] if masks is not None else None
+        entries = sim.observer_entries()
+        check_observer_capabilities(policy, entries)
+        bare = not entries and not policy.collect_trace
+        if mask:
+            filtered = _filtered_buffer(steps, budget, mask)
+            if bare:
+                results.append(_execute_bare(sim, filtered))
+            else:
+                results.append(
+                    _execute_general(
+                        sim, iter(filtered), len(filtered), None, policy, entries
+                    )
+                )
+        elif bare:
+            if whole_buffer:
+                results.append(_execute_bare_counted(sim, steps, counts))
+            else:
+                results.append(_execute_bare(sim, islice(iter(steps), budget)))
+        else:
+            results.append(
+                _execute_general(sim, iter(steps), budget, None, policy, entries)
+            )
+    return results
 
 
 def execute_multi_batch(
@@ -732,7 +768,7 @@ def execute_multi_batch(
     crash_steps: Optional[Sequence[Optional[Dict[ProcessId, int]]]] = None,
     checkpoints: Optional[int] = None,
     snapshot_keys: Sequence[str] = (),
-) -> "MultiBatchResult":
+) -> MultiBatchResult:
     """Drive a batch of replicas, each over its **own** schedule source.
 
     The multi-schedule sibling of :func:`execute_batch` and the reference
@@ -756,7 +792,6 @@ def execute_multi_batch(
     Policies that collect traces are not supported — multi-schedule runs
     have no single shared executed schedule to record.
     """
-    from .backends import MultiBatchResult, _filtered_buffer  # local import, see above
     from .simulator import RunResult  # local import: simulator imports this module
 
     sims = list(simulators)

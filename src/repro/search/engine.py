@@ -49,7 +49,6 @@ from ..campaign.spec import CampaignSpec
 from ..campaign.runner import register_kind
 from ..core.schedule import CompiledSchedule
 from ..errors import ConfigurationError
-from ..runtime.backends import backend_names
 from .certify import (
     CertificationReport,
     best_witness,
@@ -64,6 +63,7 @@ from .mutations import (
     recipe_signature,
 )
 from .properties import (
+    SCREEN_BACKENDS,
     PropertyVerdict,
     ScheduleProperty,
     available_properties,
@@ -121,9 +121,9 @@ class SearchConfig:
             raise ConfigurationError(
                 f"unknown property {self.property!r}; registered: {available_properties()}"
             )
-        if self.backend not in backend_names():
+        if self.backend not in SCREEN_BACKENDS:
             raise ConfigurationError(
-                f"unknown backend {self.backend!r}; registered: {backend_names()}"
+                f"unknown backend {self.backend!r}; expected one of {list(SCREEN_BACKENDS)}"
             )
         if self.fitness not in FITNESS_MODES:
             raise ConfigurationError(

@@ -540,6 +540,10 @@ class AgreementSafetyProperty(ScheduleProperty):
 # Whole-generation screening
 # ----------------------------------------------------------------------
 
+#: The screen lanes :func:`screen_generation` accepts: the planner default,
+#: the forced per-candidate reference screen and the forced numpy screen.
+SCREEN_BACKENDS = ("auto", "python", "vector")
+
 #: Diagnostics for the most recent :func:`screen_generation` call.
 _LAST_SCREEN_PLAN: Dict[str, Any] = {}
 
@@ -577,12 +581,12 @@ def screen_generation(
     :class:`~repro.errors.SimulationError` when it cannot take the batch;
     ``backend="python"`` forces the per-candidate reference path.
     """
-    from ..runtime.backends import _warn_fallback, backend_names
+    from ..runtime.backends import _warn_fallback
     from ..runtime.vector_backend import UnsupportedLowering
 
-    if backend not in backend_names():
+    if backend not in SCREEN_BACKENDS:
         raise ConfigurationError(
-            f"unknown backend {backend!r}; registered: {backend_names()}"
+            f"unknown backend {backend!r}; expected one of {list(SCREEN_BACKENDS)}"
         )
     compiled_list = list(compileds)
     if not compiled_list:

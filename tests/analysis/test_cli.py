@@ -308,9 +308,9 @@ class TestBenchCommand:
         from repro.cli import main
 
         with pytest.raises(SystemExit) as excinfo:
-            main(["bench", "--workload", "floor", "--backend", "banana"])
+            main(["search", "--smoke", "--backend", "banana"])
         message = str(excinfo.value)
-        assert "unknown execution backend" in message
+        assert "unknown backend 'banana'" in message
         assert "python" in message and "vector" in message
 
     def test_run_still_raises_configuration_error_for_library_callers(self):

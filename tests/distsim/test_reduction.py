@@ -7,7 +7,7 @@ The contract under test: for every distsim workload, compiling through the
 buffers — same steps, same crash metadata, same ``Πn``, same description.
 Prefixes and faulty hints follow the exact conventions of every other
 schedule generator, and the compiled buffers replay identically through
-``execute``, ``execute_batch`` and the vector backend.
+``execute`` and ``execute_batch``.
 
 The sweep size is environment-switched: the default (tier-1) run keeps a
 representative smoke subset; ``REPRO_DISTSIM_FULL=1`` (the CI ``tests-distsim``
@@ -23,7 +23,6 @@ from repro.distsim import compile_timeline, run_timeline, timeliness_report
 from repro.distsim.workloads import DistSimGenerator
 from repro.errors import ConfigurationError
 from repro.runtime.automaton import IdleAutomaton
-from repro.runtime.backends import get_backend
 from repro.runtime.kernel import FAST, execute, execute_batch
 from repro.runtime.simulator import Simulator
 from repro.scenarios.spec import build_generator
@@ -156,25 +155,12 @@ class TestReplay:
         length = 250
         compiled = compile_timeline(run_timeline(build_generator(params), length))
         replicas = [_idle_replica(compiled.n) for _ in range(3)]
-        results = execute_batch(replicas, compiled, policy=FAST, backend="python")
+        results = execute_batch(replicas, compiled, policy=FAST)
         solo = _idle_replica(compiled.n)
         execute(solo, compiled, policy=FAST)
         for sim in replicas:
             assert _replica_view(sim) == _replica_view(solo)
         assert {r.steps_executed for r in results} == {length}
-
-    @pytest.mark.parametrize("params", REPLAY_COMBOS, ids=_combo_id)
-    def test_execute_batch_vector_backend(self, params):
-        if not get_backend("vector").available():
-            pytest.skip("vector backend unavailable (numpy not installed)")
-        length = 250
-        compiled = compile_timeline(run_timeline(build_generator(params), length))
-        reference = [_idle_replica(compiled.n) for _ in range(2)]
-        vectored = [_idle_replica(compiled.n) for _ in range(2)]
-        execute_batch(reference, compiled, policy=FAST, backend="python")
-        execute_batch(vectored, compiled, policy=FAST, backend="vector")
-        for ref, vec in zip(reference, vectored):
-            assert _replica_view(ref) == _replica_view(vec)
 
 
 class TestReductionEdges:

@@ -43,9 +43,10 @@ def test_search_subsystem_docstring_coverage():
 
 
 def test_execution_backend_docstring_coverage():
-    # Same gate CI runs: the backend registry, the vector column backend and
-    # the kernel (home of the reference screen routine, execute_multi_batch)
-    # are public API surface and must stay fully documented.
+    # Same gate CI runs: the batch result types, the sim-free numpy screen
+    # and the kernel (home of the reference screen routine,
+    # execute_multi_batch) are public API surface and must stay fully
+    # documented.
     _assert_fully_documented(
         [
             REPO_ROOT / "src" / "repro" / "runtime" / "backends.py",
@@ -74,8 +75,8 @@ def test_distsim_docstring_coverage():
 
 
 def test_backend_module_doctests_pass():
-    # CI's "Backend module doctests" step, mirrored in tier-1: the registry
-    # examples must pass with and without numpy (they never import it).
+    # CI's "Backend module doctests" step, mirrored in tier-1: both modules'
+    # examples must pass with and without numpy.
     import repro.runtime.backends as backends_module
     import repro.runtime.vector_backend as vector_module
 

@@ -1,28 +1,15 @@
-"""Backend conformance: every execution backend is differentially pinned.
+"""Shared replica builders for the batch suites, and ``execute_batch`` oracles.
 
-The conformance contract (:class:`repro.runtime.backends.Backend`) says a
-backend may change *how* a batch is driven but nothing observable: outputs,
-tracker change sequences, halting, per-process step accounting, register
-values and operation counts, and the per-replica ``RunResult`` must be
-byte-identical to the reference backend.  This suite enforces that contract
-*generically*: the sweep below runs over every registered backend, so a new
-backend joins the differential matrix by calling ``register_backend`` — no
-test changes needed.
+The builders below (:func:`observable`, :func:`_make_replicas`,
+:func:`_random_masks`, :data:`SWEEP_KINDS`, ...) construct seeded replicas of
+the paper automata (anti-Ω under every registry statistic and timeout
+policy, trivial k-set agreement, idle churn) and of the generator-driven
+programs from the batch suite; ``test_multi_batch.py`` imports them.
 
-Two sweeps pin the contract:
-
-* the randomized scenario sweep (50+ seeded combos reusing the scenario
-  families and workload generators from the batch/kernel suites) runs every
-  combo through the reference backend and the backend under test and asserts
-  byte-identity — including the vector backend's transparent fallback lane
-  for workloads it cannot lower;
-* the vector-native sweep drives the lowered automata (anti-Ω, trivial
-  k-set agreement, idle churn) with ``require_lowering=True``
-  so a silent fallback cannot mask a lowering bug.
-
-Edge cases (batch of 1, empty schedule, crash at step 0, chunk-straddling
-batches, mid-batch single-writer violations, strict mode) are asserted
-identical across backends as well.
+The tests pin :func:`~repro.runtime.kernel.execute_batch`'s per-replica
+crash masks against an independent oracle — each replica run alone over the
+schedule with its masked steps deleted by hand — and the campaign layer's
+``backend`` param, which now only accepts the reference kernel.
 """
 
 import random
@@ -33,7 +20,7 @@ import test_batch
 from repro.agreement.kset import DECISION
 from repro.agreement.trivial import TrivialKSetAgreementAutomaton
 from repro.core.schedule import CompiledSchedule
-from repro.errors import ConfigurationError, RegisterError, SimulationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.failure_detectors.anti_omega import (
     KAntiOmegaAutomaton,
     constant_timeout_policy,
@@ -47,21 +34,10 @@ from repro.failure_detectors.anti_omega import (
 )
 from repro.failure_detectors.base import FD_OUTPUT
 from repro.memory.registers import RegisterFile
-from repro.runtime import vector_backend
 from repro.runtime.automaton import IdleAutomaton
-from repro.runtime.backends import (
-    Backend,
-    ReferenceBackend,
-    available_backends,
-    backend_names,
-    get_backend,
-    register_backend,
-    _BACKENDS,
-)
-from repro.runtime.kernel import FAST, FAST_TRACED, execute_batch
+from repro.runtime.kernel import FAST, FAST_TRACED, execute, execute_batch
 from repro.runtime.observers import OutputTracker
 from repro.runtime.simulator import Simulator
-from repro.runtime.vector_backend import VectorBackend
 from repro.scenarios.spec import build_generator
 
 STATISTICS = [
@@ -73,17 +49,8 @@ STATISTICS = [
 POLICIES = [paper_timeout_policy, doubling_timeout_policy, constant_timeout_policy]
 
 
-@pytest.fixture(params=sorted(backend_names()))
-def backend_name(request):
-    """Every registered backend; unavailable ones skip (e.g. vector sans numpy)."""
-    name = request.param
-    if not get_backend(name).available():
-        pytest.skip(f"backend {name!r} unavailable in this environment")
-    return name
-
-
 def observable(sim):
-    """Everything a backend may not change, in one comparable value."""
+    """Everything a batch run may not change, in one comparable value."""
     arena = sim.registers.arena_view()
     return (
         tuple(dict(sim._states[p].automaton.outputs) for p in range(1, sim.n + 1)),
@@ -107,7 +74,7 @@ def result_view(result):
 
 
 # ----------------------------------------------------------------------
-# Workload builders for the sweeps
+# Replica builders (shared with test_multi_batch.py)
 # ----------------------------------------------------------------------
 
 def _anti_omega_replica(n, t, k, statistic, policy, tracked):
@@ -193,21 +160,26 @@ SWEEP_KINDS = [
 
 
 # ----------------------------------------------------------------------
-# The conformance sweep: every backend, 50+ seeded combos
+# execute_batch crash masks against a hand-filtered solo run
 # ----------------------------------------------------------------------
 
-class TestBackendConformanceSweep:
-    def test_fifty_plus_seeded_combos_byte_identical_to_reference(self, backend_name):
-        """The headline differential: reference vs. backend on 54 seeded combos.
+def _surviving_steps(steps, budget, mask):
+    """The oracle: the budgeted steps a masked replica still takes."""
+    kept = []
+    for index, pid in enumerate(list(steps)[:budget]):
+        if mask is None or index < mask.get(pid, budget):
+            kept.append(pid)
+    return kept
 
-        Scenario families and horizons come from the batch suite's seeded
-        generator; workloads alternate between the vector-lowered automata
-        and the generator-driven fallback programs, so for the vector backend
-        the sweep exercises both the column lane and the transparent
-        fallback.  Every combo asserts the full observable state, the
-        ``RunResult`` view and the tracker change sequence.
+
+class TestCrashMaskOracle:
+    def test_seeded_sweep_matches_solo_runs_over_surviving_steps(self):
+        """54 seeded combos: a masked batch replica equals a solo masked-out run.
+
+        Every combo mixes unmasked, crash-at-0 and mid-run masks across the
+        batch, alternates tracked and bare replicas (general vs. bare loop)
+        and, every third combo, budgets the buffer below its length.
         """
-        backend = get_backend(backend_name)
         rng = random.Random(20260807)
         combos = 0
         while combos < 54:
@@ -219,148 +191,76 @@ class TestBackendConformanceSweep:
             tracked = combos % 2 == 0
             policy = FAST_TRACED if combos % 9 == 4 else FAST
             compiled = build_generator(params).compile(horizon)
+            budget = horizon // 2 if combos % 3 == 0 else horizon
             replicas = 3
             masks = _random_masks(rng, replicas, n, horizon)
-            ref = [_make_replicas(kind, rng, n, combos, tracked) for _ in range(replicas)]
-            new = [_make_replicas(kind, rng, n, combos, tracked) for _ in range(replicas)]
-            ref_results = execute_batch(
-                [s for s, _ in ref], compiled, policy=policy, crash_steps=masks
-            )
-            new_results = execute_batch(
-                [s for s, _ in new],
+            batch = [_make_replicas(kind, rng, n, combos, tracked) for _ in range(replicas)]
+            solo = [_make_replicas(kind, rng, n, combos, tracked) for _ in range(replicas)]
+            results = execute_batch(
+                [s for s, _ in batch],
                 compiled,
+                max_steps=budget,
                 policy=policy,
                 crash_steps=masks,
-                backend=backend,
             )
             context = f"combo {combos}: {kind} on {params!r} horizon={horizon}"
-            for (rs, rt), (ns, nt), rr, nr in zip(ref, new, ref_results, new_results):
-                assert observable(rs) == observable(ns), context
-                assert result_view(rr) == result_view(nr), context
+            for index, ((bs, bt), (ss, st), result) in enumerate(
+                zip(batch, solo, results)
+            ):
+                mask = masks[index] if masks is not None else None
+                surviving = _surviving_steps(compiled.steps, budget, mask)
+                expected = execute(ss, CompiledSchedule(n=n, steps=surviving), policy=policy)
+                assert observable(bs) == observable(ss), context
+                assert result_view(result) == result_view(expected), context
                 if tracked:
-                    assert rt.changes == nt.changes, context
-                if policy.collect_trace:
-                    assert rs.trace().steps == ns.trace().steps, context
+                    assert bt.changes == st.changes, context
             combos += 1
 
-    def test_vector_native_sweep_requires_lowering(self):
-        """The lowered automata sweep cannot silently fall back to the reference."""
-        if not get_backend("vector").available():
-            pytest.skip("vector backend unavailable")
-        rng = random.Random(777)
-        for combo in range(18):
-            params, horizon = test_batch._random_combination(rng)
-            n = build_generator(params).n
-            if n < 3:
-                continue
-            kind = ("anti-omega", "trivial", "idle")[combo % 3]
-            compiled = build_generator(params).compile(horizon)
-            masks = _random_masks(rng, 4, n, horizon)
-            ref = [_make_replicas(kind, rng, n, combo, True) for _ in range(4)]
-            vec = [_make_replicas(kind, rng, n, combo, True) for _ in range(4)]
-            backend = VectorBackend(require_lowering=True)
-            ref_results = execute_batch(
-                [s for s, _ in ref], compiled, crash_steps=masks
-            )
-            vec_results = execute_batch(
-                [s for s, _ in vec], compiled, crash_steps=masks, backend=backend
-            )
-            assert backend.last_run["vectorized"] is True
-            context = f"combo {combo}: {kind} on {params!r}"
-            for (rs, rt), (vs, vt), rr, vr in zip(ref, vec, ref_results, vec_results):
-                assert observable(rs) == observable(vs), context
-                assert result_view(rr) == result_view(vr), context
-                assert rt.changes == vt.changes, context
-
-
-# ----------------------------------------------------------------------
-# Edge cases, asserted identical across every backend
-# ----------------------------------------------------------------------
-
-class TestBackendEdgeCases:
-    def _pair(self, n=4, t=2, k=2, replicas=1, tracked=False):
-        build = lambda: [  # noqa: E731 - tiny local factory
-            _anti_omega_replica(n, t, k, paper_accusation_statistic,
-                                paper_timeout_policy, tracked)
-            for _ in range(replicas)
-        ]
-        return build(), build()
-
-    def _assert_identical(self, ref, new, ref_results, new_results):
-        for (rs, _), (ns, _), rr, nr in zip(ref, new, ref_results, new_results):
-            assert observable(rs) == observable(ns)
-            assert result_view(rr) == result_view(nr)
-
-    def test_batch_of_one(self, backend_name):
-        compiled = CompiledSchedule(n=4, steps=[1, 2, 3, 4] * 60)
-        ref, new = self._pair(replicas=1)
-        self._assert_identical(
-            ref,
-            new,
-            execute_batch([ref[0][0]], compiled),
-            execute_batch([new[0][0]], compiled, backend=backend_name),
-        )
-
-    def test_zero_length_schedule(self, backend_name):
+    def test_zero_length_schedule_executes_nothing(self):
         compiled = CompiledSchedule(n=4, steps=[])
-        ref, new = self._pair(replicas=2)
-        ref_results = execute_batch([s for s, _ in ref], compiled)
-        new_results = execute_batch(
-            [s for s, _ in new], compiled, backend=backend_name
-        )
-        assert [r.steps_executed for r in new_results] == [0, 0]
-        self._assert_identical(ref, new, ref_results, new_results)
+        sims = [_make_replicas("anti-omega", None, 4, 0, False)[0] for _ in range(2)]
+        fresh = observable(_make_replicas("anti-omega", None, 4, 0, False)[0])
+        results = execute_batch(sims, compiled, crash_steps=[None, {1: 0}])
+        assert [r.steps_executed for r in results] == [0, 0]
+        assert [observable(sim) for sim in sims] == [fresh, fresh]
 
-    def test_crash_at_step_zero(self, backend_name):
+    def test_crash_at_step_zero_deletes_every_step_of_the_process(self):
         compiled = CompiledSchedule(n=4, steps=[1, 2, 3, 4] * 50)
-        masks = [{1: 0}, {1: 0, 2: 0, 3: 0, 4: 0}]
-        ref, new = self._pair(replicas=2)
-        ref_results = execute_batch([s for s, _ in ref], compiled, crash_steps=masks)
-        new_results = execute_batch(
-            [s for s, _ in new], compiled, crash_steps=masks, backend=backend_name
+        sims = [_make_replicas("anti-omega", None, 4, 0, False)[0] for _ in range(2)]
+        results = execute_batch(
+            sims, compiled, crash_steps=[{1: 0}, {1: 0, 2: 0, 3: 0, 4: 0}]
         )
-        assert new_results[1].steps_executed == 0
-        self._assert_identical(ref, new, ref_results, new_results)
+        solo = _make_replicas("anti-omega", None, 4, 0, False)[0]
+        execute(solo, CompiledSchedule(n=4, steps=[2, 3, 4] * 50), policy=FAST)
+        assert results[0].steps_executed == 150 and results[1].steps_executed == 0
+        assert observable(sims[0]) == observable(solo)
+        assert sims[0].steps_taken(1) == 0
 
-    def test_batch_not_a_multiple_of_the_column_chunk(self, backend_name):
-        # Seven replicas over chunk-3 columns: 3 + 3 + 1.  For the reference
-        # backend the chunk setting is irrelevant but the batch still runs.
-        compiled = CompiledSchedule(n=4, steps=[2, 1, 4, 3] * 40)
-        backend = (
-            VectorBackend(chunk=3, require_lowering=True)
-            if backend_name == "vector"
-            else backend_name
-        )
-        ref, new = self._pair(replicas=7)
-        ref_results = execute_batch([s for s, _ in ref], compiled)
-        new_results = execute_batch([s for s, _ in new], compiled, backend=backend)
-        if backend_name == "vector":
-            assert backend.last_run["chunks"] == 3
-        self._assert_identical(ref, new, ref_results, new_results)
+    def test_crash_step_beyond_the_budget_is_inert(self):
+        compiled = CompiledSchedule(n=4, steps=[1, 2, 3, 4] * 50)
+        masked, plain = (_make_replicas("idle", None, 4, 0, False)[0] for _ in range(2))
+        execute_batch([masked], compiled, max_steps=120, crash_steps=[{2: 120}])
+        execute_batch([plain], compiled, max_steps=120)
+        assert observable(masked) == observable(plain)
 
-    def test_mid_batch_single_writer_violation_raises_identically(self, backend_name):
-        def build():
-            registers = RegisterFile()
-            # Pid 2's scratch register is owned by pid 1: the third write by
-            # pid 2 is a single-writer violation mid-run.
-            registers.declare(("idle-scratch", 2), initial=0, writer=1)
-            automata = {pid: IdleAutomaton(pid, 3) for pid in range(1, 4)}
-            return Simulator(n=3, automata=automata, registers=registers)
+    @pytest.mark.parametrize(
+        "masks, match",
+        [
+            ([None], "1 mask"),
+            ([None, {5: 3}], "unknown process id 5"),
+            ([None, {2: -1}], "step index >= 0"),
+        ],
+    )
+    def test_malformed_masks_rejected_before_running(self, masks, match):
+        sims = [_make_replicas("idle", None, 4, 0, False)[0] for _ in range(2)]
+        fresh = observable(_make_replicas("idle", None, 4, 0, False)[0])
+        with pytest.raises(SimulationError, match=match):
+            execute_batch(sims, CompiledSchedule(n=4, steps=[1, 2] * 5), crash_steps=masks)
+        assert [observable(sim) for sim in sims] == [fresh, fresh]
 
-        compiled = CompiledSchedule(n=3, steps=[1, 3, 1, 2, 1])
-        errors = []
-        sims = []
-        for spec in ("python", backend_name):
-            sim = build()
-            sims.append(sim)
-            with pytest.raises(RegisterError) as excinfo:
-                execute_batch([sim], compiled, backend=spec)
-            errors.append(str(excinfo.value))
-        assert errors[0] == errors[1]
-        assert "owned by process 1" in errors[0]
-        assert observable(sims[0]) == observable(sims[1])
+    def test_strict_mode_halted_step_raises_like_the_instrumented_run(self):
+        """The bare counted batch loop enforces strict mode like ``Simulator.run``."""
 
-    def test_strict_mode_halted_step_raises_identically(self, backend_name):
         def build():
             automata = {
                 pid: TrivialKSetAgreementAutomaton(pid, 3, t=1, k=2, input_value=pid)
@@ -369,212 +269,31 @@ class TestBackendEdgeCases:
             return Simulator(n=3, automata=automata, strict=True)
 
         compiled = CompiledSchedule(n=3, steps=[1, 2, 3] * 100)
-        errors = []
-        for spec in ("python", backend_name):
-            with pytest.raises(SimulationError) as excinfo:
-                execute_batch([build()], compiled, backend=spec)
-            errors.append(str(excinfo.value))
-        assert errors[0] == errors[1]
-        assert "was scheduled after its program returned" in errors[0]
+        with pytest.raises(SimulationError) as batched:
+            execute_batch([build()], compiled)
+        with pytest.raises(SimulationError) as instrumented:
+            build().run(compiled)
+        assert str(batched.value) == str(instrumented.value)
+        assert "was scheduled after its program returned" in str(batched.value)
 
 
 # ----------------------------------------------------------------------
-# Registry and diagnostics
+# Campaign integration: the backend param accepts the reference kernel only
 # ----------------------------------------------------------------------
 
-class TestBackendRegistry:
-    def test_registered_names(self):
-        assert set(backend_names()) >= {"python", "vector"}
-        assert "python" in available_backends()
+DETECTOR_PARAMS = {
+    "family": "set-timely",
+    "n": 4,
+    "p_set": [1],
+    "q_set": [1, 2, 3],
+    "bound": 3,
+    "seed": 9,
+    "crashes": [4],
+    "t": 2,
+    "k": 2,
+    "horizon": 2000,
+}
 
-    def test_unknown_backend_lists_choices(self):
-        with pytest.raises(ConfigurationError, match="available"):
-            get_backend("banana")
-
-    def test_instances_pass_through(self):
-        backend = VectorBackend(chunk=7)
-        assert get_backend(backend) is backend
-        assert get_backend(None).name == "python"
-
-    def test_new_backend_registers_for_free(self):
-        class EchoBackend(ReferenceBackend):
-            name = "echo-test"
-
-        try:
-            register_backend(EchoBackend())
-            assert "echo-test" in backend_names()
-            compiled = CompiledSchedule(n=3, steps=[1, 2, 3] * 10)
-            ref, new = [], []
-            for bucket in (ref, new):
-                bucket.append(_idle_replica(3, tracked=False))
-            [r] = execute_batch([ref[0][0]], compiled)
-            [n_] = execute_batch([new[0][0]], compiled, backend="echo-test")
-            assert result_view(r) == result_view(n_)
-            assert observable(ref[0][0]) == observable(new[0][0])
-        finally:
-            _BACKENDS.pop("echo-test", None)
-
-    def test_python_backend_ensure_available_is_a_noop(self):
-        get_backend("python").ensure_available()
-
-    def test_base_backend_ensure_available_names_the_backend(self):
-        class Ghost(Backend):
-            name = "ghost"
-
-            def available(self):
-                return False
-
-        with pytest.raises(ConfigurationError, match="ghost"):
-            Ghost().ensure_available()
-
-
-class TestVectorDiagnostics:
-    @pytest.fixture(autouse=True)
-    def _needs_numpy(self):
-        if not get_backend("vector").available():
-            pytest.skip("vector backend unavailable")
-
-    def test_fallback_reports_reason(self):
-        backend = VectorBackend()
-        sim, _ = _fallback_replica(test_batch._token_program, 3, tracked=False)
-        execute_batch([sim], CompiledSchedule(n=3, steps=[1, 2, 3]), backend=backend)
-        assert backend.last_run["vectorized"] is False
-        assert "no vector lowering registered" in backend.last_run["reason"]
-
-    def test_require_lowering_raises_instead_of_falling_back(self):
-        backend = VectorBackend(require_lowering=True)
-        sim, _ = _fallback_replica(test_batch._token_program, 3, tracked=False)
-        with pytest.raises(SimulationError, match="could not lower"):
-            execute_batch(
-                [sim], CompiledSchedule(n=3, steps=[1, 2, 3]), backend=backend
-            )
-
-    def test_vectorized_run_reports_batch_and_chunks(self):
-        backend = VectorBackend(chunk=2)
-        sims = [_idle_replica(3, tracked=False)[0] for _ in range(5)]
-        execute_batch(sims, CompiledSchedule(n=3, steps=[1, 2, 3] * 5), backend=backend)
-        assert backend.last_run == {
-            "vectorized": True,
-            "reason": None,
-            "chunks": 3,
-            "batch": 5,
-        }
-
-
-# ----------------------------------------------------------------------
-# The no-numpy environment (the [vector] extra not installed)
-# ----------------------------------------------------------------------
-
-class TestWithoutNumpy:
-    @pytest.fixture(autouse=True)
-    def _hide_numpy(self, monkeypatch):
-        monkeypatch.setattr(vector_backend, "np", None)
-
-    def test_vector_backend_reports_unavailable(self):
-        assert get_backend("vector").available() is False
-        assert "vector" not in available_backends()
-        assert "vector" in backend_names()  # still listed, just not runnable
-
-    def test_requesting_the_vector_backend_is_a_clear_configuration_error(self):
-        sim, _ = _idle_replica(3, tracked=False)
-        with pytest.raises(ConfigurationError, match="numpy"):
-            execute_batch(
-                [sim], CompiledSchedule(n=3, steps=[1, 2, 3]), backend="vector"
-            )
-
-    def test_ensure_available_names_the_extra(self):
-        with pytest.raises(ConfigurationError, match=r"\[vector\]"):
-            get_backend("vector").ensure_available()
-
-    def test_bench_defaults_skip_the_vector_lane(self):
-        from repro.bench.trajectory import bench_kernel
-
-        doc = bench_kernel(smoke=True, workloads=["bound-ops"])
-        assert doc["config"]["backends"] == ["python"]
-        assert "vector-batch-bare" not in doc["workloads"]["bound-ops"]
-        assert "vector_vs_fast_stream" not in doc["headline"]
-
-    def test_bench_explicit_vector_raises(self):
-        from repro.bench.trajectory import bench_kernel
-
-        with pytest.raises(ConfigurationError, match="numpy"):
-            bench_kernel(smoke=True, workloads=["floor"], backends=["vector"])
-
-    def test_regression_gate_skips_the_missing_vector_headline(self):
-        from repro.bench.trajectory import compare_trajectories
-
-        fresh_kernel = {"headline": {"batched_vs_fast_stream": 3.0}}
-        baseline_kernel = {
-            "headline": {"batched_vs_fast_stream": 3.0, "vector_vs_fast_stream": 30.0}
-        }
-        campaign = {"headline": {"batched_vs_stream": 1.0}, "payloads_identical": True}
-        assert (
-            compare_trajectories(fresh_kernel, campaign, baseline_kernel, campaign)
-            == []
-        )
-
-
-class TestVectorHeadlineGate:
-    def test_absolute_floor_fails_below_eight_x(self):
-        from repro.bench.trajectory import compare_trajectories
-
-        fresh_kernel = {
-            "headline": {"batched_vs_fast_stream": 3.0, "vector_vs_fast_stream": 7.9}
-        }
-        baseline_kernel = {"headline": {"batched_vs_fast_stream": 3.0}}
-        campaign = {"headline": {"batched_vs_stream": 1.0}, "payloads_identical": True}
-        failures = compare_trajectories(
-            fresh_kernel, campaign, baseline_kernel, campaign
-        )
-        assert any("absolute floor" in failure for failure in failures)
-
-    def test_relative_gate_applies_within_one_mode(self):
-        from repro.bench.trajectory import compare_trajectories
-
-        fresh_kernel = {
-            "config": {"smoke": False},
-            "headline": {"vector_vs_fast_stream": 20.0},
-        }
-        baseline_kernel = {
-            "config": {"smoke": False},
-            "headline": {"vector_vs_fast_stream": 30.0},
-        }
-        campaign = {"headline": {}, "payloads_identical": True}
-        failures = compare_trajectories(
-            fresh_kernel, campaign, baseline_kernel, campaign
-        )
-        assert any("vector_vs_fast_stream regressed" in failure for failure in failures)
-
-    def test_relative_gate_skipped_across_modes_but_floor_still_applies(self):
-        # The vector ratio moves structurally with the horizon (fixed
-        # compile/teardown cost amortizes over fewer smoke steps), so a
-        # smoke measurement is not comparable to a full-mode baseline
-        # within the tolerance band — only the absolute floor gates it.
-        from repro.bench.trajectory import compare_trajectories
-
-        baseline_kernel = {
-            "config": {"smoke": False},
-            "headline": {"vector_vs_fast_stream": 36.0},
-        }
-        campaign = {"headline": {}, "payloads_identical": True}
-        smoke_ok = {
-            "config": {"smoke": True},
-            "headline": {"vector_vs_fast_stream": 24.0},
-        }
-        assert compare_trajectories(smoke_ok, campaign, baseline_kernel, campaign) == []
-        smoke_below_floor = {
-            "config": {"smoke": True},
-            "headline": {"vector_vs_fast_stream": 6.0},
-        }
-        failures = compare_trajectories(
-            smoke_below_floor, campaign, baseline_kernel, campaign
-        )
-        assert any("absolute floor" in failure for failure in failures)
-
-
-# ----------------------------------------------------------------------
-# Campaign integration: the backend parameter is engine-only
-# ----------------------------------------------------------------------
 
 class TestCampaignBackendParameter:
     def test_backend_is_a_measurement_key_not_a_schedule_key(self):
@@ -582,48 +301,32 @@ class TestCampaignBackendParameter:
 
         base = {"family": "set-timely", "n": 4, "seed": 3, "t": 2, "k": 2}
         assert schedule_signature(base) == schedule_signature(
-            dict(base, backend="vector")
+            dict(base, backend="python")
         )
 
-    def test_detector_kind_payload_identical_across_backends(self):
-        if not get_backend("vector").available():
-            pytest.skip("vector backend unavailable")
-        from repro.campaign.runner import run_detector_kind
+    def test_removed_backend_values_are_rejected_loudly(self):
+        """``auto``/``vector`` selected the deleted column lane: a clear error."""
+        from repro.campaign.runner import run_detector_kind, run_separation_probe_kind
 
-        params = {
-            "family": "set-timely",
-            "n": 4,
-            "p_set": [1],
-            "q_set": [1, 2, 3],
-            "bound": 3,
-            "seed": 9,
-            "crashes": [4],
-            "t": 2,
-            "k": 2,
-            "horizon": 2000,
-        }
-        assert run_detector_kind(dict(params)) == run_detector_kind(
-            dict(params, backend="vector")
+        assert run_detector_kind(dict(DETECTOR_PARAMS)) == run_detector_kind(
+            dict(DETECTOR_PARAMS, backend="python")
         )
+        for kind in (run_detector_kind, run_separation_probe_kind):
+            for value in ("vector", "auto"):
+                with pytest.raises(ConfigurationError, match="no longer supported"):
+                    kind(dict(DETECTOR_PARAMS, backend=value))
 
-    def test_separation_probe_payload_identical_across_backends(self):
-        if not get_backend("vector").available():
-            pytest.skip("vector backend unavailable")
-        from repro.campaign.runner import run_separation_probe_kind
+    def test_rejection_surfaces_through_the_campaign_engine(self, tmp_path):
+        """A spec naming the removed lane fails the campaign, caching nothing."""
+        from repro.campaign import CampaignEngine, CampaignSpec, ResultCache
 
-        params = {
-            "family": "set-timely",
-            "n": 4,
-            "p_set": [1],
-            "q_set": [1, 2, 3],
-            "bound": 3,
-            "seed": 9,
-            "crashes": [4],
-            "t": 2,
-            "k": 2,
-            "horizon": 2000,
-            "prefix_length": 400,
-        }
-        assert run_separation_probe_kind(dict(params)) == run_separation_probe_kind(
-            dict(params, backend="vector")
+        params = {key: value for key, value in DETECTOR_PARAMS.items() if key != "family"}
+        spec = CampaignSpec(
+            name="removed-lane",
+            kind="detector",
+            runs=[dict(params, schedule="set-timely", backend="vector")],
         )
+        cache = ResultCache(tmp_path / "cache")
+        with pytest.raises(ConfigurationError, match="no longer supported"):
+            CampaignEngine(cache=cache).run(spec)
+        assert not any((tmp_path / "cache").rglob("*.json"))

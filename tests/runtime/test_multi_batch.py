@@ -6,12 +6,10 @@ own schedule — same outputs, step counts, halted sets and register arenas —
 with per-replica crash masks applied to the replica's own buffer and
 checkpointed snapshots equal to prefix runs.  The edge cases are here too: an
 empty batch, a generation of one, mixed lengths, crash at step 0 and
-per-replica budgets.  The auto planner's pure decision rule
-(:func:`plan_backend_for_classes`) and its loud fallback are pinned at the
-end.
+per-replica budgets.  The planner rule :func:`plan_backend_for_classes`,
+which now always picks the reference kernel, is pinned at the end.
 """
 
-import logging
 import random
 
 import pytest
@@ -20,14 +18,13 @@ import test_batch
 from repro.core.schedule import CompiledSchedule
 from repro.errors import ConfigurationError, SimulationError
 from repro.failure_detectors.base import FD_OUTPUT
-from repro.runtime import backends as backends_module
-from repro.runtime.backends import (
-    MultiBatchResult,
+from repro.runtime.backends import MultiBatchResult, plan_backend_for_classes
+from repro.runtime.kernel import (
+    FAST_TRACED,
     _filtered_buffer,
-    get_backend,
-    plan_backend_for_classes,
+    execute_batch,
+    execute_multi_batch,
 )
-from repro.runtime.kernel import FAST_TRACED, execute_batch, execute_multi_batch
 from repro.scenarios.spec import build_generator
 
 observable = test_backends.observable
@@ -319,14 +316,6 @@ class TestMultiBatchEdgeCases:
 
 
 class TestAutoPlanner:
-    def test_lowered_batch_plans_vector(self):
-        if not get_backend("vector").available():
-            pytest.skip("numpy unavailable")
-        from repro.failure_detectors.anti_omega import KAntiOmegaAutomaton
-
-        chosen, reason = plan_backend_for_classes({KAntiOmegaAutomaton})
-        assert chosen == "vector" and reason is None
-
     def test_unlowerable_batch_plans_python_with_reason(self):
         class Opaque:
             pass
@@ -334,18 +323,3 @@ class TestAutoPlanner:
         chosen, reason = plan_backend_for_classes({Opaque})
         assert chosen == "python"
         assert reason
-
-    def test_auto_falls_back_loudly_and_records_plan(self, caplog):
-        """An unlowerable batch runs on the reference kernel, logged once."""
-        backends_module._WARNED_FALLBACKS.clear()
-        auto = get_backend("auto")
-        compiled = build_generator({"schedule": "round-robin", "n": 3}).compile(30)
-        replica = test_batch._fresh(3, test_batch.ALGORITHMS["halting"], tracked=False)[0]
-        with caplog.at_level(logging.WARNING, logger=backends_module._LOGGER.name):
-            execute_batch([replica], compiled, backend="auto")
-        assert auto.last_plan["backend"] == "python"
-        assert auto.last_plan["reason"]
-        if get_backend("vector").available():
-            assert any(
-                "falling back" in record.message for record in caplog.records
-            )

@@ -9,7 +9,8 @@ lengths, crash a process at step 0, and shrink to a generation of one.
 Batches the column lane cannot take (agreement-safety composes an automaton
 with no vector lowering) must fall back loudly under ``auto`` and raise
 under a forced ``vector`` backend.  The search engine's screen-verdict cache
-rides the same lane; its hit accounting is pinned here too.
+rides the same lane; its hit accounting is pinned here too, and so is the
+no-numpy environment (the optional ``[vector]`` extra not installed).
 """
 
 import logging
@@ -21,7 +22,7 @@ import pytest
 from repro.core.schedule import CompiledSchedule
 from repro.errors import ConfigurationError, SimulationError
 from repro.runtime import backends as backends_module
-from repro.runtime.backends import get_backend
+from repro.runtime import vector_backend
 from repro.search.engine import (
     _screened_verdicts,
     reset_screen_cache,
@@ -40,7 +41,7 @@ COLUMN_PROPERTIES = ("k-anti-omega-convergence", "leader-set-convergence")
 
 
 def _needs_numpy():
-    if not get_backend("vector").available():
+    if vector_backend.np is None:
         pytest.skip("numpy unavailable")
 
 
@@ -103,6 +104,18 @@ class TestDifferentialSweep:
         prop = make_property("k-anti-omega-convergence", PARAMS)
         assert screen_generation(prop, [], 8, backend="auto") == []
 
+    def test_forced_python_takes_the_reference_lane(self):
+        prop = make_property("k-anti-omega-convergence", PARAMS)
+        compileds = _generation(4)
+        assert screen_generation(prop, compileds, 8, backend="python") == _reference(
+            prop, compileds, 8
+        )
+        assert last_screen_plan() == {
+            "lane": "reference",
+            "reason": "backend 'python' requested",
+            "batch": len(compileds),
+        }
+
     def test_unknown_backend_rejected(self):
         prop = make_property("k-anti-omega-convergence", PARAMS)
         with pytest.raises(ConfigurationError, match="unknown backend"):
@@ -123,7 +136,7 @@ class TestAutoFallback:
         plan = last_screen_plan()
         assert plan["lane"] == "reference" and plan["batch"] == 3
         assert plan["reason"]
-        if get_backend("vector").available():
+        if vector_backend.np is not None:
             assert "AgreementSafetyProperty has no column screen" in plan["reason"]
             assert any(
                 "falling back" in record.message for record in caplog.records
@@ -188,3 +201,43 @@ class TestEngineScreenCache:
         assert screen_cache_stats()["misses"] == 8
         reset_screen_cache()
         assert screen_cache_stats() == {"hits": 0, "misses": 0}
+
+
+class TestWithoutNumpy:
+    @pytest.fixture(autouse=True)
+    def _hide_numpy(self, monkeypatch):
+        monkeypatch.setattr(vector_backend, "np", None)
+
+    def test_auto_screens_on_the_reference_lane_and_vector_raises(self):
+        prop = make_property("k-anti-omega-convergence", PARAMS)
+        compileds = _generation(3)
+        assert screen_generation(prop, compileds, 8, backend="auto") == _reference(
+            prop, compileds, 8
+        )
+        plan = last_screen_plan()
+        assert plan["lane"] == "reference" and "numpy" in plan["reason"]
+        with pytest.raises(SimulationError, match="numpy"):
+            screen_generation(prop, compileds, 8, backend="vector")
+
+    def test_bench_defaults_skip_the_vector_lane(self):
+        from repro.bench.trajectory import bench_kernel
+
+        doc = bench_kernel(smoke=True, workloads=["bound-ops"])
+        assert doc["screen"] is None
+        assert "vector_screen_vs_reference_screen" not in doc["headline"]
+
+    def test_regression_gate_skips_the_missing_vector_headline(self):
+        from repro.bench.trajectory import compare_trajectories
+
+        fresh_kernel = {"headline": {"batched_vs_fast_stream": 3.0}}
+        baseline_kernel = {
+            "headline": {
+                "batched_vs_fast_stream": 3.0,
+                "vector_screen_vs_reference_screen": 8.0,
+            }
+        }
+        campaign = {"headline": {"batched_vs_stream": 1.0}, "payloads_identical": True}
+        assert (
+            compare_trajectories(fresh_kernel, campaign, baseline_kernel, campaign)
+            == []
+        )

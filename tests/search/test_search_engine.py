@@ -51,6 +51,10 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             SearchConfig(property="no-such-claim")
 
+    def test_unknown_backend_rejected(self):
+        with pytest.raises(ConfigurationError, match="unknown backend 'cuda'"):
+            SearchConfig(backend="cuda")
+
     def test_unknown_fitness_rejected(self):
         with pytest.raises(ConfigurationError):
             SearchConfig(fitness="vibes")
